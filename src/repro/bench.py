@@ -23,11 +23,9 @@ from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
 from repro.datasets import TSDataset, correlation_matrices
-
-# Rounds cap above which the per-round Spark job latency (~0.3 s in local
-# mode) would dominate TMFG construction; beyond it the pipeline keeps the
-# TMFG on the driver (see EXPERIMENTS.md discussion of PAR-TDBHT-1).
-SPARK_TMFG_MAX_ROUNDS = 150
+# SPARK_TMFG_MAX_ROUNDS is re-exported for perfbench/run.py
+from repro.spark.pipeline import (SPARK_TMFG_MAX_ROUNDS,  # noqa: F401
+                                  par_tdbht, seq_tdbht)
 
 
 def znorm(X: np.ndarray) -> np.ndarray:
@@ -54,8 +52,6 @@ def run_pmfg_dbht(ds: TSDataset, S, D, k, time_budget_s: Optional[float] = None
 
 
 def run_seq_tdbht(ds: TSDataset, S, D, k, prefix: int = 1) -> Dict:
-    from repro.spark.pipeline import seq_tdbht
-
     run = seq_tdbht(S, D, prefix=prefix)
     return {"time": run.total, "ari": ari(ds.y, run.result.dendrogram.cut_k(k)),
             "steps": run.times, "rounds": run.tmfg.rounds}
@@ -64,16 +60,11 @@ def run_seq_tdbht(ds: TSDataset, S, D, k, prefix: int = 1) -> Dict:
 def run_par_tdbht(spark, ds: TSDataset, S, D, k, prefix: int,
                   partitions: Optional[int] = None,
                   force_spark_tmfg: Optional[bool] = None) -> Dict:
-    from repro.spark.pipeline import par_tdbht
-
-    est_rounds = (ds.n - 4) / prefix
-    spark_tmfg = (est_rounds <= SPARK_TMFG_MAX_ROUNDS
-                  if force_spark_tmfg is None else force_spark_tmfg)
     run = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions,
-                    spark_tmfg=spark_tmfg)
+                    spark_tmfg=force_spark_tmfg)
     return {"time": run.total, "ari": ari(ds.y, run.result.dendrogram.cut_k(k)),
             "steps": run.times, "rounds": run.tmfg.rounds,
-            "spark_tmfg": spark_tmfg}
+            "spark_tmfg": run.spark_tmfg}
 
 
 def run_linkage(ds: TSDataset, S, D, k, method: str) -> Dict:

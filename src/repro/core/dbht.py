@@ -58,6 +58,43 @@ def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
 
 
 # --------------------------------------------------- vertex assignment (4-23)
+def assignment_inputs(S: np.ndarray, t: TMFGResult, group: np.ndarray
+                      ) -> Tuple[Dict[int, np.ndarray], List[Tuple[int, int]],
+                                 np.ndarray]:
+    """What both assignment paths need once the chi pass has set ``group``
+    (-1 where unassigned): ``(vb0, cand, denom)``.
+
+    ``vb0`` maps each converging bubble to V_b^0, the vertices the chi
+    pass assigned to it. ``cand`` lists the ``(v, b)`` pairs to score by
+    L-bar, ascending: for each unassigned ``v``, the converging bubbles
+    with non-empty V_b^0 that a bubble containing ``v`` reaches along
+    directed edges, or, when there is none, every converging bubble with
+    non-empty V_b^0 (the paper's "v -> b" set always contains one in
+    practice). ``denom`` is each bubble's chi' denominator, the sum of its
+    6 intra-bubble similarities; a denominator <= 0 raises ``ValueError``,
+    because chi' would be NaN or have its argmax flipped (constant or
+    length-1 series give such an ``S``).
+    """
+    tree = t.tree
+    bubbles = np.array(tree.bubbles)
+    denom = sum(S[bubbles[:, i], bubbles[:, j]]
+                for i in range(4) for j in range(i + 1, 4))
+    if (denom <= 0).any():
+        raise ValueError("bubble similarity sums must be positive for chi'")
+    cvg = tree.converging_bubbles()
+    reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
+    mem = tree.vertex_memberships(t.n)
+    vb0 = {int(b): np.flatnonzero(group == b) for b in cvg}
+    nonempty = np.array([len(vb0[int(b)]) > 0 for b in cvg])
+    cand: List[Tuple[int, int]] = []
+    for v in np.flatnonzero(group == -1):
+        ok = reach[mem[v]].any(axis=0) & nonempty
+        if not ok.any():
+            ok = nonempty
+        cand.extend((int(v), int(b)) for b in cvg[ok])
+    return vb0, cand, denom
+
+
 def assign_vertices(S: np.ndarray, t: TMFGResult,
                     dist: np.ndarray) -> Assignments:
     """Lines 4-23 of Algorithm 4: group and bubble assignment."""
@@ -66,9 +103,6 @@ def assign_vertices(S: np.ndarray, t: TMFGResult,
         tree.compute_directions(S, t.edges)
     n = t.n
     cvg = tree.converging_bubbles()
-    reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
-    mem = tree.vertex_memberships(n)
-    cvg_set = {int(b) for b in cvg}
 
     # chi(v, b) = sum_{u in b} w(u, v); bubbles are 4-cliques so every u in
     # the bubble is adjacent to v in the TMFG. Scores are rounded to 12
@@ -85,40 +119,22 @@ def assign_vertices(S: np.ndarray, t: TMFGResult,
                 best_chi[v] = chi
                 group[v] = b
 
-    # V_b^0: vertices assigned per converging bubble in the first pass.
-    vb0: Dict[int, np.ndarray] = {
-        int(b): np.flatnonzero(group == b) for b in cvg
-    }
-
-    # Remaining vertices: min mean shortest-path distance to V_b^0 over the
-    # converging bubbles they can reach (fallback: all converging bubbles
-    # with nonempty V_b^0, which the paper's "v -> b" set always contains in
-    # practice).
-    unassigned = np.flatnonzero(group == -1)
-    for v in unassigned:
-        reachable = set()
-        for b in mem[v]:
-            reachable.update(int(cvg[k]) for k in np.flatnonzero(reach[b]))
-        candidates = [b for b in sorted(reachable) if len(vb0[b]) > 0]
-        if not candidates:
-            candidates = [int(b) for b in cvg if len(vb0[int(b)]) > 0]
-        best = None
-        for b in candidates:  # ascending: ties keep the smallest bubble id
-            lbar = round(float(dist[vb0[b], v].mean()), 12)
-            if best is None or lbar < best[0]:
-                best = (lbar, b)
-        group[v] = best[1]
+    # Remaining vertices: min mean shortest-path distance to V_b^0 over
+    # their candidate converging bubbles.
+    vb0, cand, denom = assignment_inputs(S, t, group)
+    best: Dict[int, Tuple[float, int]] = {}
+    for v, b in cand:  # ascending: ties keep the smallest bubble id
+        lbar = round(float(dist[vb0[b], v].mean()), 12)
+        if v not in best or lbar < best[v][0]:
+            best[v] = (lbar, b)
+    for v, (_, b) in best.items():
+        group[v] = b
 
     # Second level: bubble assignment by chi' for *all* vertices (per the
     # paper's footnote, matching the reference implementation).
+    mem = tree.vertex_memberships(n)
     bubble = np.full(n, -1, dtype=np.int64)
     best_chi2 = np.full(n, -np.inf)
-    denom = np.empty(tree.n_bubbles())
-    for b in range(tree.n_bubbles()):
-        verts = tree.bubbles[b]
-        denom[b] = sum(
-            S[verts[i], verts[j]] for i in range(4) for j in range(i + 1, 4)
-        )
     for v in range(n):
         for b in mem[v]:  # ascending: ties keep the smallest bubble id
             verts = tree.bubbles[b]

@@ -1,27 +1,35 @@
-"""Parallel-prefix TMFG construction (Algorithm 1) — driver reference.
+"""Parallel-prefix TMFG construction (Algorithm 1) — the one TMFG engine.
 
-This is the deterministic reference implementation of the paper's
-Algorithm 1: per round, the ``PREFIX`` best vertex-face pairs (by gain)
-are selected from the per-face GAINS table, conflicts are resolved by
-letting each vertex keep only its best face, and all surviving pairs are
-inserted in the same round. ``prefix=1`` reproduces the exact sequential
-TMFG of Massara et al. The bubble tree (Algorithm 2) is built during
-construction.
+Per round, the ``prefix`` best vertex-face pairs (by gain) are selected
+from the GAINS table, conflicts are resolved by letting each vertex keep
+only its best face, and all surviving pairs are inserted in the same
+round. ``prefix=1`` reproduces the exact sequential TMFG of Massara et al.
+The bubble tree (Algorithm 2) is built during construction.
 
-The Spark implementation (``repro.spark.tmfg_spark``) keeps the GAINS
-table as a DataFrame and must produce bit-identical output; all ties here
-break toward smaller vertex/face ids to make that possible.
+GAINS lives on the driver, next to the topology, as per-face arrays
+indexed by face id: the corners ``tri``, the best remaining vertex
+``best_v``, its ``gain`` and an ``alive`` mask (fewer than 3n faces are
+ever created). The only O(n)-per-face work, re-scoring the new faces and
+the faces whose best vertex was just inserted (Lines 15-16), goes through
+a scorer that takes a batch of faces and the remaining-vertex mask.
+``tmfg`` scores with numpy on the driver; ``repro.spark.tmfg_spark``
+scores with a Spark ``mapInPandas`` kernel that runs the same numpy
+expression, so both give bit-identical output. All ties break toward
+smaller vertex/face ids.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from repro.graphs.bubble_tree import BubbleTree
 
 Triangle = Tuple[int, int, int]
+# (faces (k, 3) sorted corners, remaining (n,) mask) -> (best_v (k,), gain (k,))
+Scorer = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -53,102 +61,114 @@ def _check_similarity(S: np.ndarray) -> np.ndarray:
         raise ValueError("S must be square")
     if n < 4:
         raise ValueError("TMFG needs at least 4 vertices")
+    if not np.isfinite(S).all():
+        raise ValueError("S must be finite")
     if not np.allclose(S, S.T, atol=1e-8):
         raise ValueError("S must be symmetric")
     return S
 
 
-def _best_vertex(S: np.ndarray, triangle: Triangle,
-                 remaining: np.ndarray) -> Optional[Tuple[int, float]]:
-    """Best remaining vertex for a face and its gain (ties: smallest id)."""
-    if not remaining.any():
-        return None
-    gains = S[triangle[0]] + S[triangle[1]] + S[triangle[2]]
-    gains = np.where(remaining, gains, -np.inf)
-    v = int(np.argmax(gains))  # first occurrence of the max -> smallest id
-    return v, float(gains[v])
+# Gain entries scored per block: bounds the (faces, n) temporaries when a
+# round re-scores thousands of faces (late rounds, large prefixes).
+_SCORE_BLOCK = 1 << 17
 
 
-def select_batch(gains: Dict[int, Tuple[int, float]],
-                 prefix: int) -> List[Tuple[int, int]]:
-    """Round selection (Lines 9-10): pick the ``prefix`` faces with the
-    largest gains, then resolve vertex conflicts by keeping each vertex's
-    highest-gain face. Returns ``(vertex, face_id)`` pairs sorted by face
-    id. Ties break toward smaller face ids everywhere.
+def _score(S: np.ndarray, faces: np.ndarray,
+           remaining: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Best remaining vertex per face row and its gain (ties: smallest id).
+
+    The gain row is ``S[a] + S[b] + S[c]`` over the sorted corners, summed
+    left to right; every scorer must keep this order to stay bit-identical.
     """
-    top = sorted(gains.items(), key=lambda kv: (-kv[1][1], kv[0]))[:prefix]
-    best_for_vertex: Dict[int, Tuple[float, int]] = {}
-    for fid, (v, g) in top:
-        cur = best_for_vertex.get(v)
-        if cur is None or (-g, fid) < (-cur[0], cur[1]):
-            best_for_vertex[v] = (g, fid)
-    return sorted(((v, fid) for v, (_, fid) in best_for_vertex.items()),
-                  key=lambda p: p[1])
+    best = np.empty(len(faces), dtype=np.int64)
+    gain = np.empty(len(faces))
+    step = max(1, _SCORE_BLOCK // len(S))
+    for lo in range(0, len(faces), step):
+        f = faces[lo:lo + step]
+        g = S[f[:, 0]]
+        g += S[f[:, 1]]
+        g += S[f[:, 2]]
+        g = np.where(remaining, g, -np.inf)
+        b = g.argmax(axis=1)  # first occurrence of the max -> smallest id
+        best[lo:lo + len(f)] = b
+        gain[lo:lo + len(f)] = g[np.arange(len(f)), b]
+    return best, gain
 
 
-def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
-    """Construct the TMFG of similarity matrix ``S`` (Algorithm 1)."""
-    S = _check_similarity(S)
+def select_batch(best_v: np.ndarray, gain: np.ndarray, alive: np.ndarray,
+                 prefix: int) -> List[Tuple[int, int]]:
+    """Round selection (Lines 9-10) over the GAINS arrays, indexed by face
+    id: pick the ``prefix`` live faces with the largest gains, then resolve
+    vertex conflicts by keeping each vertex's highest-gain face. Returns
+    ``(vertex, face_id)`` pairs sorted by face id. Ties break toward
+    smaller face ids everywhere.
+    """
+    fid = np.flatnonzero(alive)
+    top = fid[np.lexsort((fid, -gain[fid]))[:prefix]]
+    _, first = np.unique(best_v[top], return_index=True)
+    keep = np.sort(top[first])
+    return list(zip(best_v[keep].tolist(), keep.tolist()))
+
+
+def _construct(S: np.ndarray, prefix: int, score: Scorer) -> TMFGResult:
+    """Algorithm 1 on a checked ``S``, re-scoring faces with ``score``."""
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     n = S.shape[0]
     # Lines 1-4: seed with the 4 vertices of largest row sum.
-    row_sums = S.sum(axis=1)
-    seed = np.argsort(-row_sums, kind="stable")[:4]
+    seed = np.argsort(-S.sum(axis=1), kind="stable")[:4]
     v1, v2, v3, v4 = (int(x) for x in seed)
     edges: List[Tuple[int, int]] = [
         tuple(sorted(p))
         for p in ((v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4), (v3, v4))
     ]
-    faces: Dict[int, Triangle] = {
-        0: tuple(sorted((v1, v2, v3))),
-        1: tuple(sorted((v1, v2, v4))),
-        2: tuple(sorted((v1, v3, v4))),
-        3: tuple(sorted((v2, v3, v4))),
-    }
-    next_fid = 4
+    # GAINS: 4 seed faces plus 3 per insertion, 3n - 8 in all.
+    tri = np.empty((3 * n, 3), dtype=np.int64)
+    tri[:4] = [sorted((v1, v2, v3)), sorted((v1, v2, v4)),
+               sorted((v1, v3, v4)), sorted((v2, v3, v4))]
+    best_v = np.zeros(3 * n, dtype=np.int64)
+    gain = np.zeros(3 * n)
+    alive = np.zeros(3 * n, dtype=bool)
+    alive[:4] = True
+    n_faces = 4
     remaining = np.ones(n, dtype=bool)
-    remaining[[v1, v2, v3, v4]] = False
-    # Line 5: initial GAINS.
-    gains: Dict[int, Tuple[int, float]] = {}
-    for fid, tri in faces.items():
-        b = _best_vertex(S, tri, remaining)
-        if b is not None:
-            gains[fid] = b
+    remaining[seed] = False
     # Lines 6-7: bubble tree seeded with the clique; face 0 is the outer face.
     tree = BubbleTree.initial(seed, [0, 1, 2, 3], outer_face=0)
     insertions: List[Tuple[int, Triangle]] = []
     rounds = 0
+    rescore = np.arange(4)  # Line 5: the initial GAINS
     # Lines 8-17: insert remaining vertices in batches of up to ``prefix``.
     while remaining.any():
+        best_v[rescore], gain[rescore] = score(tri[rescore], remaining)
         rounds += 1
-        batch = select_batch(gains, prefix)
-        inserted = {v for v, _ in batch}
-        remaining[list(inserted)] = False
-        new_fids: List[int] = []
+        batch = select_batch(best_v, gain, alive, prefix)
+        inserted = [v for v, _ in batch]
+        remaining[inserted] = False
+        first_new = n_faces
         for v, fid in batch:  # face ids are distinct; order is deterministic
-            vx, vy, vz = faces[fid]
-            edges.extend(((min(v, vx), max(v, vx)),
-                          (min(v, vy), max(v, vy)),
-                          (min(v, vz), max(v, vz))))
-            created = [next_fid, next_fid + 1, next_fid + 2]
-            next_fid += 3
+            vx, vy, vz = tri[fid].tolist()
+            edges.extend((min(v, u), max(v, u)) for u in (vx, vy, vz))
+            created = [n_faces, n_faces + 1, n_faces + 2]
             # paper's face order: {v,vx,vy}, {v,vy,vz}, {v,vx,vz}
-            faces[created[0]] = tuple(sorted((v, vx, vy)))
-            faces[created[1]] = tuple(sorted((v, vy, vz)))
-            faces[created[2]] = tuple(sorted((v, vx, vz)))
+            tri[n_faces:n_faces + 3] = [sorted((v, vx, vy)),
+                                        sorted((v, vy, vz)),
+                                        sorted((v, vx, vz))]
+            n_faces += 3
             tree.insert(v, fid, (vx, vy, vz), created)
-            del faces[fid]
-            del gains[fid]
-            new_fids.extend(created)
             insertions.append((v, (vx, vy, vz)))
-        if remaining.any():
-            stale = [fid for fid, (bv, _) in gains.items() if bv in inserted]
-            for fid in stale + new_fids:
-                gains[fid] = _best_vertex(S, faces[fid], remaining)
-        else:
-            gains.clear()
+        alive[[fid for _, fid in batch]] = False
+        stale = np.flatnonzero(alive[:first_new]
+                               & np.isin(best_v[:first_new], inserted))
+        alive[first_new:n_faces] = True
+        rescore = np.concatenate((stale, np.arange(first_new, n_faces)))
     edge_arr = np.array(sorted(set(edges)), dtype=np.int64)
     assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
     return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,
                       rounds=rounds, seed_vertices=seed, insertions=insertions)
+
+
+def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
+    """Construct the TMFG of similarity matrix ``S`` (Algorithm 1)."""
+    S = _check_similarity(S)
+    return _construct(S, prefix, functools.partial(_score, S))

@@ -34,7 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from repro.core.dbht import Assignments
+from repro.core.dbht import Assignments, assignment_inputs
 from repro.core.linkage import hac
 from repro.core.tmfg import TMFGResult
 
@@ -122,22 +122,19 @@ def _argbest(df: DataFrame, score: str, ascending: bool) -> DataFrame:
 
 # ------------------------------------------------------------ full assignment
 def assign_vertices_spark(spark: SparkSession, S: np.ndarray, t: TMFGResult,
-                          dist: np.ndarray, sim: DataFrame,
-                          dist_df: DataFrame) -> Assignments:
+                          sim: DataFrame, dist_df: DataFrame) -> Assignments:
     """Lines 4-23 of Algorithm 4 with the scores computed in Spark SQL.
 
     ``sim`` is the long-format similarity relation (i, j, w) and
-    ``dist_df`` the APSP relation (src, dst, dist); ``dist`` is the dense
-    APSP matrix (used only for the rare fallback of vertices that reach no
-    converging bubble with assigned vertices, matching the driver path).
+    ``dist_df`` the APSP relation (src, dst, dist). The L-bar candidates
+    come from ``repro.core.dbht.assignment_inputs``, shared with the
+    driver path.
     """
     tree = t.tree
     if tree.down is None:
         tree.compute_directions(S, t.edges)
     n = t.n
     cvg = tree.converging_bubbles()
-    reach = tree.reachable_converging()
-    mem_lists = tree.vertex_memberships(n)
     mem = membership_df(spark, t)
 
     # ---- first pass: vertices inside converging bubbles, by max chi
@@ -150,27 +147,14 @@ def assign_vertices_spark(spark: SparkSession, S: np.ndarray, t: TMFGResult,
     for r in first:
         group[int(r.v)] = int(r.bubble)
 
-    # ---- V_b^0 and the candidate pairs for unassigned vertices
-    vb0_map = {int(b): np.flatnonzero(group == b) for b in cvg}
-    vb0_rows = [(b, int(u)) for b, us in vb0_map.items() for u in us]
-    nonempty = {b for b, _ in vb0_rows}
-    unassigned = np.flatnonzero(group == -1)
-    cand_rows = []
-    fallback: list[int] = []
-    for v in unassigned:
-        reachable = set()
-        for b in mem_lists[v]:
-            reachable.update(int(cvg[k]) for k in np.flatnonzero(reach[b]))
-        cands = sorted(b for b in reachable if b in nonempty)
-        if cands:
-            cand_rows.extend((int(v), b) for b in cands)
-        else:
-            fallback.append(int(v))
+    # ---- unassigned vertices: min L-bar over their candidate bubbles
+    vb0_map, cand_rows, _ = assignment_inputs(S, t, group)
     if cand_rows:
         cand = spark.createDataFrame(
             pd.DataFrame(cand_rows, columns=["v", "bubble"]),
             schema="v long, bubble long",
         )
+        vb0_rows = [(b, int(u)) for b, us in vb0_map.items() for u in us]
         vb0 = spark.createDataFrame(
             pd.DataFrame(vb0_rows, columns=["bubble", "u"]),
             schema="bubble long, u long",
@@ -179,13 +163,6 @@ def assign_vertices_spark(spark: SparkSession, S: np.ndarray, t: TMFGResult,
                           ascending=True).collect()
         for r in second:
             group[int(r.v)] = int(r.bubble)
-    for v in fallback:  # matches the driver's fallback exactly (uses V_b^0)
-        best = None
-        for b in sorted(nonempty):
-            lbar = round(float(dist[vb0_map[b], v].mean()), _ROUND)
-            if best is None or lbar < best[0]:
-                best = (lbar, b)
-        group[v] = best[1]
 
     # ---- second level: bubble assignment by max chi' over all bubbles
     third = _argbest(chi_prime_scores(mem, sim), "chi2",
@@ -230,13 +207,15 @@ def subgroup_linkages_spark(spark: SparkSession, assign: Assignments,
             "dist": Z[:, 2], "size": Z[:, 3],
         })
 
-    out = (
-        spark.createDataFrame(pdf, schema="g long, q long, v long")
-        .groupBy("g", "q")
-        .applyInPandas(link, _LINKAGE_SCHEMA)
-        .toPandas()
-    )
-    b_dist.unpersist()
+    try:
+        out = (
+            spark.createDataFrame(pdf, schema="g long, q long, v long")
+            .groupBy("g", "q")
+            .applyInPandas(link, _LINKAGE_SCHEMA)
+            .toPandas()
+        )
+    finally:
+        b_dist.unpersist()
     result: Dict[Tuple[int, int], np.ndarray] = {}
     for (g, q), sub in out.groupby(["g", "q"]):
         sub = sub.sort_values("r")

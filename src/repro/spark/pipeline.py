@@ -31,13 +31,21 @@ from repro.spark.similarity import sim_df_from_matrix
 from repro.spark.tmfg_spark import tmfg_spark
 
 
+# Rounds cap above which the per-round Spark job latency (~0.3 s in local
+# mode) would dominate TMFG construction; beyond it ``par_tdbht`` keeps the
+# TMFG on the driver (see EXPERIMENTS.md, TMFG placement).
+SPARK_TMFG_MAX_ROUNDS = 150
+
+
 @dataclass
 class TimedRun:
-    """A clustering run plus its per-step wall-times (seconds)."""
+    """A clustering run plus its per-step wall-times (seconds) and whether
+    its TMFG was built on Spark."""
 
     tmfg: TMFGResult
     result: DBHTResult
     times: Dict[str, float]
+    spark_tmfg: bool = False
 
     @property
     def total(self) -> float:
@@ -46,16 +54,21 @@ class TimedRun:
 
 def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
               prefix: int = 10, partitions: Optional[int] = None,
-              spark_tmfg: bool = True) -> TimedRun:
-    """Parallel TMFG + DBHT (PAR-TDBHT). ``spark_tmfg=False`` keeps the
-    TMFG on the driver (useful when per-round job latency dominates at
-    small n) while the rest stays distributed."""
+              spark_tmfg: Optional[bool] = None) -> TimedRun:
+    """Parallel TMFG + DBHT (PAR-TDBHT). ``spark_tmfg`` places the TMFG:
+    ``None`` (default) re-scores faces on Spark only when the TMFG takes
+    at most about ``SPARK_TMFG_MAX_ROUNDS`` rounds, ``(n - 4) / prefix``;
+    ``False`` keeps it on the driver, ``True`` on Spark. The rest stays
+    distributed either way."""
+    if spark_tmfg is None:
+        spark_tmfg = len(S) - 4 <= SPARK_TMFG_MAX_ROUNDS * prefix
     times: Dict[str, float] = {}
     # ``partitions`` also throttles the shuffle stages (joins/aggregations)
     # so the knob bounds total parallelism, like the paper's thread count.
     old_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
     if partitions is not None:
         spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
+    dist_df = None
     try:
         t0 = time.monotonic()
         if spark_tmfg:
@@ -78,19 +91,20 @@ def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
         # restrict the similarity relation to TMFG edges: bubbles are
         # cliques, so the chi joins never touch non-edge pairs
         sim = sim_df_from_matrix(spark, S, edges=t.edges)
-        assign = assign_vertices_spark(spark, S, t, dist, sim, dist_df)
+        assign = assign_vertices_spark(spark, S, t, sim, dist_df)
         times["bubble-tree"] = time.monotonic() - t0
 
         t0 = time.monotonic()
         sub_Z = subgroup_linkages_spark(spark, assign, dist)
         dendro = dbht_mod.build_hierarchy(assign, dist, subgroup_Z=sub_Z)
         times["hierarchy"] = time.monotonic() - t0
-        dist_df.unpersist()
     finally:
+        if dist_df is not None:
+            dist_df.unpersist()
         spark.conf.set("spark.sql.shuffle.partitions", old_shuffle)
     return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
                                               assignments=assign, apsp=dist),
-                    times=times)
+                    times=times, spark_tmfg=spark_tmfg)
 
 
 def seq_tdbht(S: np.ndarray, D: np.ndarray, prefix: int = 1) -> TimedRun:

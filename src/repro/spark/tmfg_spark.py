@@ -1,185 +1,76 @@
-"""Parallel TMFG as an iterative Spark dataflow (Algorithm 1).
+"""Parallel TMFG with Spark as the face re-scoring backend (Algorithm 1).
 
-The GAINS table — one row per triangular face with its best remaining
-vertex and gain — is the distributed state, held as a persisted DataFrame
-with schema ``(face_id, v0, v1, v2, best_v, gain)``. Each round of the
-while loop (Lines 8-17) runs:
-
-1. *select*: ``orderBy(gain desc, face_id).limit(prefix)`` — the paper's
-   parallel sort + prefix selection (Line 9);
-2. *conflict resolution* on the collected <=prefix rows — each vertex
-   keeps only its highest-gain face (Line 10), reusing the exact driver
-   routine ``repro.core.tmfg.select_batch``;
-3. *topology update* on the driver — O(1) per insertion: edges, faces,
-   and the bubble tree (Lines 12-14, 17);
-4. *re-score* of affected faces (the three new faces per insertion plus
-   faces whose best vertex was just consumed, Lines 15-16) distributed via
-   ``mapInPandas`` over the face rows with the broadcast similarity
-   matrix;
-5. state update: drop consumed/stale rows, union the re-scored rows,
-   ``localCheckpoint`` to keep the plan flat across rounds.
-
-The result is bit-identical to ``repro.core.tmfg.tmfg`` (same float64
-numpy scoring expression, same tie-breaking) — asserted in tests.
+The construction is the one engine of ``repro.core.tmfg``: GAINS, the
+topology and the bubble tree stay on the driver, where a round's
+selection is one sort of the live faces and each insertion is O(1)
+topology work. Spark runs only the O(n)-per-face step, re-scoring the new
+and stale faces of a round (Lines 15-16): the face rows fan out through
+``mapInPandas`` over the broadcast similarity matrix, and each task runs
+the driver's numpy scoring expression, so the result is bit-identical to
+``repro.core.tmfg.tmfg``.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.tmfg import TMFGResult, _check_similarity, select_batch
-from repro.graphs.bubble_tree import BubbleTree
+from repro.core.tmfg import TMFGResult, _check_similarity, _construct, _score
 
-GAINS_SCHEMA = "face_id long, v0 long, v1 long, v2 long, best_v long, gain double"
-_FACE_SCHEMA = "face_id long, v0 long, v1 long, v2 long"
+_FACE_SCHEMA = "row long, v0 long, v1 long, v2 long"
+_SCORE_SCHEMA = "row long, best_v long, gain double"
 
 
 def _score_fn(bS, remaining: np.ndarray):
-    """mapInPandas scorer: best remaining vertex per face row.
+    """mapInPandas kernel: best remaining vertex per face row.
 
-    ``remaining`` is a tiny bool mask shipped in the task closure; the
+    ``remaining`` is a small bool mask shipped in the task closure; the
     similarity matrix rides the broadcast ``bS``.
     """
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         S = bS.value
         for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            best_v = np.empty(len(pdf), dtype=np.int64)
-            gain = np.empty(len(pdf), dtype=np.float64)
-            v0 = pdf["v0"].to_numpy()
-            v1 = pdf["v1"].to_numpy()
-            v2 = pdf["v2"].to_numpy()
-            for r in range(len(pdf)):
-                # identical float64 expression to the driver reference
-                g = S[v0[r]] + S[v1[r]] + S[v2[r]]
-                g = np.where(remaining, g, -np.inf)
-                best_v[r] = int(np.argmax(g))
-                gain[r] = g[best_v[r]]
-            yield pd.DataFrame({
-                "face_id": pdf["face_id"].to_numpy(),
-                "v0": v0, "v1": v1, "v2": v2,
-                "best_v": best_v, "gain": gain,
-            })
+            best_v, gain = _score(S, pdf[["v0", "v1", "v2"]].to_numpy(),
+                                  remaining)
+            yield pd.DataFrame({"row": pdf["row"].to_numpy(),
+                                "best_v": best_v, "gain": gain})
 
     return fn
 
 
 def tmfg_spark(spark: SparkSession, S: np.ndarray, prefix: int = 1,
                partitions: int | None = None) -> TMFGResult:
-    """Distributed TMFG construction; see module docstring."""
+    """TMFG construction with faces re-scored on Spark; see module
+    docstring."""
     S = _check_similarity(S)
-    if prefix < 1:
-        raise ValueError("prefix must be >= 1")
     n = S.shape[0]
     sc = spark.sparkContext
     parts = partitions or sc.defaultParallelism
     bS = sc.broadcast(S)
 
-    row_sums = S.sum(axis=1)
-    seed = np.argsort(-row_sums, kind="stable")[:4]
-    v1, v2, v3, v4 = (int(x) for x in seed)
-    edges: List[Tuple[int, int]] = [
-        tuple(sorted(p))
-        for p in ((v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4), (v3, v4))
-    ]
-    faces: Dict[int, Tuple[int, int, int]] = {
-        0: tuple(sorted((v1, v2, v3))),
-        1: tuple(sorted((v1, v2, v4))),
-        2: tuple(sorted((v1, v3, v4))),
-        3: tuple(sorted((v2, v3, v4))),
-    }
-    next_fid = 4
-    remaining = np.ones(n, dtype=bool)
-    remaining[[v1, v2, v3, v4]] = False
-    tree = BubbleTree.initial(seed, [0, 1, 2, 3], outer_face=0)
-    insertions: List[Tuple[int, Tuple[int, int, int]]] = []
+    def score(faces: np.ndarray, remaining: np.ndarray):
+        k = len(faces)
+        # Partition by workload (each face costs an O(n) argmax): a
+        # Python-worker task costs ~100 ms in local mode, so fanning a
+        # handful of faces over every core would be pure overhead. ~2M
+        # scored entries per task keeps tasks >= the launch cost while
+        # still fanning out at large n * prefix.
+        tasks = max(1, min(parts, k, k * n // 2_000_000 + 1))
+        pdf = pd.DataFrame({"row": np.arange(k), "v0": faces[:, 0],
+                            "v1": faces[:, 1], "v2": faces[:, 2]})
+        out = (
+            spark.createDataFrame(pdf, schema=_FACE_SCHEMA)
+            .repartition(tasks)
+            .mapInPandas(_score_fn(bS, remaining), _SCORE_SCHEMA)
+            .toPandas()
+            .sort_values("row")
+        )
+        return out["best_v"].to_numpy(), out["gain"].to_numpy()
 
-    def faces_df(fids: List[int]):
-        pdf = pd.DataFrame(
-            [(fid,) + faces[fid] for fid in fids],
-            columns=["face_id", "v0", "v1", "v2"],
-        )
-        return spark.createDataFrame(pdf, schema=_FACE_SCHEMA)
-
-    # The GAINS *state* is tiny (<= 2n-4 rows): keep it in few partitions so
-    # per-round sort/filter/union jobs don't pay 16 task launches for a
-    # handful of rows. The compute parallelism lives in the re-scoring
-    # mapInPandas (argmax over n per face), which fans out up to ``parts``.
-    state_parts = max(1, min(4, parts))
-    gains_df = (
-        faces_df(list(faces))
-        .repartition(max(1, min(parts, len(faces))))
-        .mapInPandas(_score_fn(bS, remaining.copy()), GAINS_SCHEMA)
-        .coalesce(state_parts)
-        .localCheckpoint()
-    )
-
-    rounds = 0
-    while remaining.any():
-        rounds += 1
-        top = (
-            gains_df.orderBy(F.desc("gain"), F.asc("face_id"))
-            .limit(prefix)
-            .collect()
-        )
-        gains_top = {int(r.face_id): (int(r.best_v), float(r.gain)) for r in top}
-        batch = select_batch(gains_top, prefix)
-        inserted = {v for v, _ in batch}
-        remaining[list(inserted)] = False
-        removed_fids: List[int] = []
-        new_fids: List[int] = []
-        for v, fid in batch:
-            vx, vy, vz = faces[fid]
-            edges.extend(((min(v, vx), max(v, vx)),
-                          (min(v, vy), max(v, vy)),
-                          (min(v, vz), max(v, vz))))
-            created = [next_fid, next_fid + 1, next_fid + 2]
-            next_fid += 3
-            faces[created[0]] = tuple(sorted((v, vx, vy)))
-            faces[created[1]] = tuple(sorted((v, vy, vz)))
-            faces[created[2]] = tuple(sorted((v, vx, vz)))
-            tree.insert(v, fid, (vx, vy, vz), created)
-            del faces[fid]
-            removed_fids.append(fid)
-            new_fids.extend(created)
-            insertions.append((v, (vx, vy, vz)))
-        if not remaining.any():
-            break
-        inserted_list = [int(x) for x in inserted]
-        stale_rows = (
-            gains_df.filter(F.col("best_v").isin(inserted_list))
-            .select("face_id")
-            .collect()
-        )
-        stale_fids = [int(r.face_id) for r in stale_rows
-                      if int(r.face_id) not in removed_fids]
-        rescore_fids = new_fids + stale_fids
-        # Partition the re-scoring by workload (each face costs an O(n)
-        # argmax): a Python-worker task costs ~100 ms in local mode, so
-        # fanning a handful of tiny faces over every core would be pure
-        # overhead. ~2M scored entries per task keeps tasks >= the launch
-        # cost while still fanning out at large n * prefix.
-        work = len(rescore_fids) * n
-        rescore_parts = max(1, min(parts, len(rescore_fids), work // 2_000_000 + 1))
-        new_gains = (
-            faces_df(rescore_fids).repartition(rescore_parts)
-            .mapInPandas(_score_fn(bS, remaining.copy()), GAINS_SCHEMA)
-        )
-        drop = removed_fids + stale_fids
-        gains_df = (
-            gains_df.filter(~F.col("face_id").isin(drop))
-            .unionByName(new_gains)
-            .coalesce(state_parts)
-            .localCheckpoint()
-        )
-    bS.unpersist()
-    edge_arr = np.array(sorted(set(edges)), dtype=np.int64)
-    assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
-    return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,
-                      rounds=rounds, seed_vertices=seed, insertions=insertions)
+    try:
+        return _construct(S, prefix, score)
+    finally:
+        bS.unpersist()

@@ -74,6 +74,14 @@ class TestAssignments:
                 scores[b] = round(sum(S[u, v] for u in verts if u != v) / den, 12)
             assert scores[a.bubble[v]] == max(scores.values())
 
+    def test_length1_series_raise(self):
+        """Length-1 series give S = I, so every bubble's chi' denominator
+        is 0."""
+        S, D = correlation_matrices(np.arange(10.0).reshape(10, 1))
+        t = tmfg(S)
+        with pytest.raises(ValueError, match="chi'"):
+            assign_vertices(S, t, tmfg_apsp(D, t))
+
     def test_deterministic(self):
         S, D, t = make_case(40, 4, 5)
         dist = tmfg_apsp(D, t)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.dbht import assign_vertices, tmfg_apsp
 from repro.core.linkage import hac
 from repro.core.tmfg import tmfg
+from repro.datasets import correlation_matrices
 from repro.oracle import assert_equivalent
 from repro.spark.apsp_spark import apsp_df
 from repro.spark.dbht_spark import (assign_vertices_spark,
@@ -149,10 +150,20 @@ class TestAssignmentEquivalence:
         sim = sim_df_from_matrix(spark, S)
         w = D[t.edges[:, 0], t.edges[:, 1]]
         ddf = apsp_df(spark, n, t.edges, w)
-        got = assign_vertices_spark(spark, S, t, dist, sim, ddf)
+        got = assign_vertices_spark(spark, S, t, sim, ddf)
         assert np.array_equal(got.group, ref.group)
         assert np.array_equal(got.bubble, ref.bubble)
         assert np.array_equal(got.converging, ref.converging)
+
+    def test_length1_series_raise(self, spark):
+        """Length-1 series give S = I, so every bubble's chi' denominator
+        is 0."""
+        S, D = correlation_matrices(np.arange(10.0).reshape(10, 1))
+        t = tmfg(S)
+        sim = sim_df_from_matrix(spark, S, edges=t.edges)
+        ddf = apsp_df(spark, t.n, t.edges, D[t.edges[:, 0], t.edges[:, 1]])
+        with pytest.raises(ValueError, match="chi'"):
+            assign_vertices_spark(spark, S, t, sim, ddf)
 
 
 class TestSubgroupLinkage:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.metrics import ari
 from repro.datasets import correlation_matrices, latent_curve_dataset
+from repro.spark import pipeline
 from repro.spark.pipeline import par_tdbht, seq_tdbht
 
 
@@ -50,3 +51,37 @@ def test_partitions_dont_change_result(spark, data):
     a = par_tdbht(spark, S, D, prefix=8, partitions=2, spark_tmfg=False)
     b = par_tdbht(spark, S, D, prefix=8, partitions=12, spark_tmfg=False)
     assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)
+
+
+@pytest.mark.parametrize("n,prefix,where", [
+    (200, 1, "driver"),  # 196 rounds > SPARK_TMFG_MAX_ROUNDS
+    (200, 2, "spark"),
+    (60, 1, "spark"),
+])
+def test_default_tmfg_placement(spark, monkeypatch, n, prefix, where):
+    class Placed(Exception):
+        pass
+
+    def place(name):
+        def fn(*args, **kwargs):
+            raise Placed(name)
+        return fn
+
+    monkeypatch.setattr(pipeline, "tmfg", place("driver"))
+    monkeypatch.setattr(pipeline, "tmfg_spark", place("spark"))
+    with pytest.raises(Placed, match=where):
+        par_tdbht(spark, np.eye(n), np.eye(n), prefix=prefix)
+
+
+def test_failure_leaves_nothing_persisted(spark, data, monkeypatch):
+    _, S, D = data
+    persisted = spark.sparkContext._jsc.getPersistentRDDs
+    before = set(persisted().keys())
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("assignment failed")
+
+    monkeypatch.setattr(pipeline, "assign_vertices_spark", fail)
+    with pytest.raises(RuntimeError, match="assignment failed"):
+        par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    assert set(persisted().keys()) <= before

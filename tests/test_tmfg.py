@@ -72,6 +72,11 @@ class TestStructure:
             tmfg(rand_sim(5, 0), prefix=0)
         with pytest.raises(ValueError):
             tmfg(np.arange(16.0).reshape(4, 4))  # not symmetric
+        for bad in (np.nan, np.inf, -np.inf):
+            S = rand_sim(6, 0)
+            S[1, 2] = S[2, 1] = bad
+            with pytest.raises(ValueError, match="S must be finite"):
+                tmfg(S)
 
 
 class TestGreedySemantics:
@@ -119,24 +124,36 @@ class TestGreedySemantics:
         assert t.rounds <= 8
 
 
+def gains_arrays(gains):
+    """GAINS arrays indexed by face id from ``{face_id: (vertex, gain)}``;
+    faces not listed are dead."""
+    size = max(gains) + 1
+    best_v = np.zeros(size, dtype=np.int64)
+    gain = np.zeros(size)
+    alive = np.zeros(size, dtype=bool)
+    for fid, (v, g) in gains.items():
+        best_v[fid], gain[fid], alive[fid] = v, g, True
+    return best_v, gain, alive
+
+
 class TestSelectBatch:
     def test_top_prefix_only(self):
-        gains = {0: (7, 1.0), 1: (8, 3.0), 2: (9, 2.0)}
-        batch = select_batch(gains, 2)
+        gains = gains_arrays({0: (7, 1.0), 1: (8, 3.0), 2: (9, 2.0)})
+        batch = select_batch(*gains, 2)
         assert batch == [(9, 2), (8, 1)] or batch == [(8, 1), (9, 2)]
         assert sorted(batch, key=lambda p: p[1]) == batch
 
     def test_vertex_conflict_keeps_best_face(self):
-        gains = {0: (7, 1.0), 1: (7, 3.0), 2: (9, 2.0)}
-        batch = select_batch(gains, 3)
+        gains = gains_arrays({0: (7, 1.0), 1: (7, 3.0), 2: (9, 2.0)})
+        batch = select_batch(*gains, 3)
         assert (7, 1) in batch and (9, 2) in batch and len(batch) == 2
 
     def test_vertex_conflict_tie_smallest_face(self):
-        gains = {3: (7, 2.0), 1: (7, 2.0)}
-        batch = select_batch(gains, 2)
+        gains = gains_arrays({3: (7, 2.0), 1: (7, 2.0)})
+        batch = select_batch(*gains, 2)
         assert batch == [(7, 1)]
 
     def test_gain_tie_smallest_face_first(self):
-        gains = {5: (1, 2.0), 2: (3, 2.0), 9: (4, 2.0)}
-        batch = select_batch(gains, 2)
+        gains = gains_arrays({5: (1, 2.0), 2: (3, 2.0), 9: (4, 2.0)})
+        batch = select_batch(*gains, 2)
         assert {fid for _, fid in batch} == {2, 5}
