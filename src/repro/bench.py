@@ -22,17 +22,10 @@ from repro.core.linkage import hac
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
-from repro.datasets import TSDataset, correlation_matrices
+from repro.datasets import TSDataset, correlation_matrices, znorm
 # SPARK_TMFG_MAX_ROUNDS is re-exported for perfbench/run.py
 from repro.spark.pipeline import (SPARK_TMFG_MAX_ROUNDS,  # noqa: F401
                                   par_tdbht, seq_tdbht)
-
-
-def znorm(X: np.ndarray) -> np.ndarray:
-    mu = X.mean(axis=1, keepdims=True)
-    sd = X.std(axis=1, keepdims=True)
-    sd[sd < 1e-12] = 1.0
-    return (X - mu) / sd
 
 
 def prepare(ds: TSDataset):

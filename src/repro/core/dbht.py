@@ -1,4 +1,4 @@
-"""Parallel DBHT for TMFG (Algorithm 4) — driver reference implementation.
+"""Parallel DBHT for TMFG (Algorithm 4), on the driver in both pipelines.
 
 Steps (Section V):
   1. direct the bubble-tree edges (Algorithm 3, linear work);
@@ -18,8 +18,8 @@ Steps (Section V):
 
 Tie-breaking: the paper's WRITEMAX/WRITEMIN on (score, bubble) pairs
 leaves ties platform-defined; we break all score ties toward the smaller
-bubble id, and the Spark implementation (``repro.spark.dbht_spark``)
-matches this exactly.
+bubble id. The Spark SQL scores of ``repro.spark.dbht_spark`` are the
+DuckDB-checked reference that tests compare these decisions against.
 """
 from __future__ import annotations
 
@@ -61,8 +61,8 @@ def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
 def assignment_inputs(S: np.ndarray, t: TMFGResult, group: np.ndarray
                       ) -> Tuple[Dict[int, np.ndarray], List[Tuple[int, int]],
                                  np.ndarray]:
-    """What both assignment paths need once the chi pass has set ``group``
-    (-1 where unassigned): ``(vb0, cand, denom)``.
+    """What the L-bar and chi' passes need once the chi pass has set
+    ``group`` (-1 where unassigned): ``(vb0, cand, denom)``.
 
     ``vb0`` maps each converging bubble to V_b^0, the vertices the chi
     pass assigned to it. ``cand`` lists the ``(v, b)`` pairs to score by
@@ -106,9 +106,9 @@ def assign_vertices(S: np.ndarray, t: TMFGResult,
 
     # chi(v, b) = sum_{u in b} w(u, v); bubbles are 4-cliques so every u in
     # the bubble is adjacent to v in the TMFG. Scores are rounded to 12
-    # decimals before comparison so the Spark path (whose SUM order is
-    # nondeterministic) reaches identical argmax decisions; ties go to the
-    # smallest bubble id (iteration over ``cvg`` is ascending).
+    # decimals before comparison so the Spark SQL reference scores (whose
+    # SUM order is nondeterministic) give identical argmax decisions; ties
+    # go to the smallest bubble id (iteration over ``cvg`` is ascending).
     group = np.full(n, -1, dtype=np.int64)
     best_chi = np.full(n, -np.inf)
     for b in cvg:
@@ -181,16 +181,8 @@ def _run_linkage_into(merges: List[Tuple[int, int]], nodes: List[_Node],
     return root
 
 
-def build_hierarchy(assign: Assignments, dist: np.ndarray,
-                    subgroup_Z: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-                    ) -> Dendrogram:
-    """Lines 24-33 + the Aste height assignment (Section V-D).
-
-    ``subgroup_Z`` optionally supplies precomputed complete-linkage
-    matrices per (group, bubble) subgroup — the Spark path fans these out
-    via ``applyInPandas`` and passes them in; when absent they are
-    computed inline.
-    """
+def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
+    """Lines 24-33 + the Aste height assignment (Section V-D)."""
     n = dist.shape[0]
     merges: List[Tuple[int, int]] = []
     nodes: List[_Node] = []
@@ -208,10 +200,7 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray,
             if len(members) == 1:
                 sub_roots.append(int(members[0]))
                 continue
-            if subgroup_Z is not None and (g, q) in subgroup_Z:
-                Z = subgroup_Z[(g, q)]
-            else:
-                Z = hac(dist[np.ix_(members, members)], "complete")
+            Z = hac(dist[np.ix_(members, members)], "complete")
             root = _run_linkage_into(
                 merges, nodes, Z, [int(x) for x in members], n, "sub", g, q
             )

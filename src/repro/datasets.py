@@ -59,7 +59,8 @@ def _smooth(curve: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _znorm_rows(X: np.ndarray) -> np.ndarray:
+def znorm(X: np.ndarray) -> np.ndarray:
+    """Z-normalize each row; a constant row (std < 1e-12) becomes zeros."""
     mu = X.mean(axis=1, keepdims=True)
     sd = X.std(axis=1, keepdims=True)
     sd[sd < 1e-12] = 1.0
@@ -82,10 +83,10 @@ def latent_curve_dataset(name: str, n: int, length: int, n_classes: int,
     """
     rng = np.random.default_rng(seed)
     window = max(3, length // 16)
-    common = _znorm_rows(_smooth(rng.standard_normal(length), window)[None])[0]
+    common = znorm(_smooth(rng.standard_normal(length), window)[None])[0]
     bases = []
     for _ in range(n_classes):
-        own = _znorm_rows(_smooth(rng.standard_normal(length), window)[None])[0]
+        own = znorm(_smooth(rng.standard_normal(length), window)[None])[0]
         bases.append(shared * common + np.sqrt(1.0 - shared ** 2) * own)
     bases = np.stack(bases)
     sizes = rng.multinomial(n - n_classes, np.ones(n_classes) / n_classes)
@@ -169,7 +170,7 @@ def load_ucr_lite(dataset_id: int, *, seed: int = 0) -> TSDataset:
 # ------------------------------------------------------------- correlations
 def correlation_matrices(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(similarity S = Pearson p, dissimilarity D = sqrt(2(1-p)))."""
-    Z = _znorm_rows(np.asarray(X, dtype=np.float64))
+    Z = znorm(np.asarray(X, dtype=np.float64))
     p = (Z @ Z.T) / Z.shape[1]
     p = np.clip(p, -1.0, 1.0)
     np.fill_diagonal(p, 1.0)

@@ -21,7 +21,12 @@ DIST_SCHEMA = "src long, dst long, dist double"
 
 def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
             weights: np.ndarray, partitions: int | None = None) -> DataFrame:
-    """DataFrame of all-pairs shortest path distances (n^2 rows)."""
+    """DataFrame of all-pairs shortest path distances (n^2 rows).
+
+    The tasks read the edge list from a broadcast, which the returned
+    DataFrame carries as ``edges_broadcast``: whoever materialises the
+    rows unpersists it afterwards, as :func:`apsp_matrix_spark` does.
+    """
     sc = spark.sparkContext
     parts = partitions or sc.defaultParallelism
     b_edges = sc.broadcast((np.asarray(edges, dtype=np.int64),
@@ -40,14 +45,21 @@ def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
                 })
 
     sources = spark.range(n).toDF("src").repartition(parts)
-    return sources.mapInPandas(run, DIST_SCHEMA)
+    df = sources.mapInPandas(run, DIST_SCHEMA)
+    df.edges_broadcast = b_edges
+    return df
 
 
 def apsp_matrix_spark(spark: SparkSession, n: int, edges: np.ndarray,
                       weights: np.ndarray,
                       partitions: int | None = None) -> np.ndarray:
-    """Dense (n, n) APSP matrix collected from :func:`apsp_df`."""
-    pdf = apsp_df(spark, n, edges, weights, partitions).toPandas()
+    """Dense (n, n) APSP matrix collected from :func:`apsp_df`; the edge
+    broadcast is released once the rows are back or the collect fails."""
+    df = apsp_df(spark, n, edges, weights, partitions)
+    try:
+        pdf = df.toPandas()
+    finally:
+        df.edges_broadcast.unpersist()
     out = np.full((n, n), np.inf)
     out[pdf["src"].to_numpy(), pdf["dst"].to_numpy()] = pdf["dist"].to_numpy()
     return out

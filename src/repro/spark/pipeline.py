@@ -1,13 +1,19 @@
-"""End-to-end PAR-TDBHT pipeline with the paper's step-timing breakdown.
+"""End-to-end PAR-TDBHT and SEQ-TDBHT with the paper's step timings.
 
-``par_tdbht`` mirrors the paper's PAR-TDBHT: parallel TMFG construction,
-distributed APSP, Spark SQL vertex assignments, and distributed subgroup
-linkage, returning the dendrogram plus per-step wall times keyed exactly
-like Figure 5: ``tmfg``, ``apsp``, ``bubble-tree`` (directions +
-assignments), ``hierarchy``.
+Both pipelines run the four steps of Figure 5 and time them under its
+keys: ``tmfg``, ``apsp``, ``bubble-tree`` (directions + assignments) and
+``hierarchy``. They differ only in where the first two run:
 
-``seq_tdbht`` is the SEQ-TDBHT analog: the same algorithms on the driver
-with no Spark involvement (numpy reference implementations throughout).
+* ``par_tdbht`` (PAR-TDBHT) builds the TMFG on the driver or with its
+  face re-scoring on Spark, and fans the APSP out over Spark tasks, one
+  Dijkstra per source;
+* ``seq_tdbht`` (SEQ-TDBHT) runs both on the driver.
+
+Vertex assignment and the three-level linkage (Algorithm 4) are
+``repro.core.dbht`` on the driver in both: their Spark versions lost at
+every size measured (EXPERIMENTS.md, DBHT placement), so the Spark SQL
+scores of ``repro.spark.dbht_spark`` are only the DuckDB-checked
+reference for the driver's decisions.
 
 ``partitions`` throttles available parallelism (tasks <= partitions in
 local mode), standing in for the paper's thread-count knob in the
@@ -22,12 +28,10 @@ from typing import Dict, Optional
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core import dbht as dbht_mod
-from repro.core.dbht import DBHTResult
+from repro.core.dbht import (DBHTResult, assign_vertices, build_hierarchy,
+                             tmfg_apsp)
 from repro.core.tmfg import TMFGResult, tmfg
-from repro.spark.apsp_spark import apsp_df
-from repro.spark.dbht_spark import assign_vertices_spark, subgroup_linkages_spark
-from repro.spark.similarity import sim_df_from_matrix
+from repro.spark.apsp_spark import apsp_matrix_spark
 from repro.spark.tmfg_spark import tmfg_spark
 
 
@@ -52,79 +56,50 @@ class TimedRun:
         return sum(self.times.values())
 
 
+def _timed(times: Dict[str, float], step: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with its wall time stored as ``times[step]``."""
+    t0 = time.monotonic()
+    out = fn(*args, **kwargs)
+    times[step] = time.monotonic() - t0
+    return out
+
+
+def _dbht_steps(S: np.ndarray, t: TMFGResult, dist: np.ndarray,
+                times: Dict[str, float], spark_tmfg: bool = False) -> TimedRun:
+    """The steps after APSP, the same in both pipelines: vertex assignment
+    and hierarchy on the driver."""
+    assign = _timed(times, "bubble-tree", assign_vertices, S, t, dist)
+    dendro = _timed(times, "hierarchy", build_hierarchy, assign, dist)
+    return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
+                                              assignments=assign, apsp=dist),
+                    times=times, spark_tmfg=spark_tmfg)
+
+
 def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
               prefix: int = 10, partitions: Optional[int] = None,
               spark_tmfg: Optional[bool] = None) -> TimedRun:
     """Parallel TMFG + DBHT (PAR-TDBHT). ``spark_tmfg`` places the TMFG:
     ``None`` (default) re-scores faces on Spark only when the TMFG takes
     at most about ``SPARK_TMFG_MAX_ROUNDS`` rounds, ``(n - 4) / prefix``;
-    ``False`` keeps it on the driver, ``True`` on Spark. The rest stays
-    distributed either way."""
+    ``False`` keeps it on the driver, ``True`` on Spark. APSP runs on
+    Spark either way, assignment and hierarchy on the driver."""
     if spark_tmfg is None:
         spark_tmfg = len(S) - 4 <= SPARK_TMFG_MAX_ROUNDS * prefix
     times: Dict[str, float] = {}
-    # ``partitions`` also throttles the shuffle stages (joins/aggregations)
-    # so the knob bounds total parallelism, like the paper's thread count.
-    old_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-    if partitions is not None:
-        spark.conf.set("spark.sql.shuffle.partitions", str(partitions))
-    dist_df = None
-    try:
-        t0 = time.monotonic()
-        if spark_tmfg:
-            t = tmfg_spark(spark, S, prefix=prefix, partitions=partitions)
-        else:
-            t = tmfg(S, prefix=prefix)
-        times["tmfg"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        w = D[t.edges[:, 0], t.edges[:, 1]]
-        dist_df = apsp_df(spark, t.n, t.edges, w, partitions=partitions)
-        dist_df.persist()
-        pdf = dist_df.toPandas()  # one distributed APSP, reused as matrix
-        dist = np.full((t.n, t.n), np.inf)
-        dist[pdf["src"].to_numpy(), pdf["dst"].to_numpy()] = pdf["dist"].to_numpy()
-        times["apsp"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        t.tree.compute_directions(S, t.edges)
-        # restrict the similarity relation to TMFG edges: bubbles are
-        # cliques, so the chi joins never touch non-edge pairs
-        sim = sim_df_from_matrix(spark, S, edges=t.edges)
-        assign = assign_vertices_spark(spark, S, t, sim, dist_df)
-        times["bubble-tree"] = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        sub_Z = subgroup_linkages_spark(spark, assign, dist)
-        dendro = dbht_mod.build_hierarchy(assign, dist, subgroup_Z=sub_Z)
-        times["hierarchy"] = time.monotonic() - t0
-    finally:
-        if dist_df is not None:
-            dist_df.unpersist()
-        spark.conf.set("spark.sql.shuffle.partitions", old_shuffle)
-    return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
-                                              assignments=assign, apsp=dist),
-                    times=times, spark_tmfg=spark_tmfg)
+    if spark_tmfg:
+        t = _timed(times, "tmfg", tmfg_spark, spark, S, prefix=prefix,
+                   partitions=partitions)
+    else:
+        t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
+    w = D[t.edges[:, 0], t.edges[:, 1]]
+    dist = _timed(times, "apsp", apsp_matrix_spark, spark, t.n, t.edges, w,
+                  partitions=partitions)
+    return _dbht_steps(S, t, dist, times, spark_tmfg)
 
 
 def seq_tdbht(S: np.ndarray, D: np.ndarray, prefix: int = 1) -> TimedRun:
     """Sequential TMFG + DBHT on the driver (SEQ-TDBHT analog)."""
     times: Dict[str, float] = {}
-    t0 = time.monotonic()
-    t = tmfg(S, prefix=prefix)
-    times["tmfg"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    dist = dbht_mod.tmfg_apsp(D, t)
-    times["apsp"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    assign = dbht_mod.assign_vertices(S, t, dist)
-    times["bubble-tree"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    dendro = dbht_mod.build_hierarchy(assign, dist)
-    times["hierarchy"] = time.monotonic() - t0
-    return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
-                                              assignments=assign, apsp=dist),
-                    times=times)
+    t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
+    dist = _timed(times, "apsp", tmfg_apsp, D, t)
+    return _dbht_steps(S, t, dist, times)

@@ -4,9 +4,9 @@ The paper's pipeline starts from the correlation matrix of ``n`` time
 series. Here the ``n x n`` matrix is computed as a Spark job: rows are
 z-normalized on the driver (O(nL)), the normalized matrix is broadcast,
 and row-blocks compute their slice ``Z_block @ Z.T / L`` in parallel via
-``mapInPandas``, emitting the long-format ``(i, j, sim, dis)`` DataFrame
-used by the DBHT Spark SQL steps. ``dis = sqrt(2 (1 - sim))`` is the
-Mantegna dissimilarity from Section VII.
+``mapInPandas``, emitting the long-format ``(i, j, sim, dis)`` DataFrame.
+``dis = sqrt(2 (1 - sim))`` is the Mantegna dissimilarity from Section
+VII.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.datasets import _znorm_rows
+from repro.datasets import znorm
 
 SIM_SCHEMA = "i long, j long, sim double, dis double"
 
@@ -27,7 +27,7 @@ def correlation_df(spark: SparkSession, X: np.ndarray,
     including the diagonal and both orders (the consumers filter)."""
     X = np.asarray(X, dtype=np.float64)
     n, L = X.shape
-    Z = _znorm_rows(X)
+    Z = znorm(X)
     sc = spark.sparkContext
     bZ = sc.broadcast(Z)
     parts = partitions or sc.defaultParallelism
@@ -68,29 +68,13 @@ def correlation_matrices_spark(spark: SparkSession, X: np.ndarray,
     return S, D
 
 
-def sim_df_from_matrix(spark: SparkSession, S: np.ndarray,
-                       D: np.ndarray | None = None,
-                       edges: np.ndarray | None = None) -> DataFrame:
-    """Long-format (i, j, w [, d]) DataFrame from a dense similarity
-    matrix — the input relation for the DBHT Spark SQL assignment steps.
-
-    With ``edges`` (an undirected edge list), only those pairs are emitted
-    (both orders). The DBHT attachment scores only ever look up pairs
-    inside a bubble, and bubbles are cliques, so restricting the relation
-    to the TMFG's ``3n - 6`` edges is semantically identical to the full
-    ``n^2`` relation while keeping the joins proportional to the graph,
-    not its square. Without ``edges``, all off-diagonal pairs are emitted.
-    """
-    if edges is not None:
-        e = np.asarray(edges, dtype=np.int64)
-        ii = np.concatenate([e[:, 0], e[:, 1]])
-        jj = np.concatenate([e[:, 1], e[:, 0]])
-    else:
-        n = S.shape[0]
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        mask = ii != jj
-        ii, jj = ii[mask], jj[mask]
-    data = {"i": ii, "j": jj, "w": S[ii, jj]}
-    if D is not None:
-        data["d"] = D[ii, jj]
-    return spark.createDataFrame(pd.DataFrame(data))
+def sim_df_from_matrix(spark: SparkSession, S: np.ndarray) -> DataFrame:
+    """Long-format (i, j, w) DataFrame of every off-diagonal pair of a
+    dense similarity matrix — the input relation of the DBHT Spark SQL
+    scores (``repro.spark.dbht_spark``)."""
+    n = S.shape[0]
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    mask = ii != jj
+    ii, jj = ii[mask], jj[mask]
+    return spark.createDataFrame(pd.DataFrame({"i": ii, "j": jj,
+                                               "w": S[ii, jj]}))

@@ -45,3 +45,36 @@ def test_partitions_dont_change_result(spark, graph):
     a = apsp_matrix_spark(spark, n, edges, w, partitions=2)
     b = apsp_matrix_spark(spark, n, edges, w, partitions=13)
     assert np.array_equal(a, b)
+
+
+def test_broadcast_released(spark, graph, monkeypatch):
+    """apsp_matrix_spark unpersists the edge broadcast of apsp_df, also
+    when the collect raises."""
+    n, edges, w = graph
+    sc = spark.sparkContext
+    made, released = [], []
+    broadcast = sc.broadcast
+
+    def spy(value):
+        b = broadcast(value)
+        unpersist = b.unpersist
+
+        def recorded(*args, **kwargs):
+            released.append(b)
+            unpersist(*args, **kwargs)
+
+        b.unpersist = recorded
+        made.append(b)
+        return b
+
+    monkeypatch.setattr(sc, "broadcast", spy)
+    apsp_matrix_spark(spark, n, edges, w)
+    assert len(made) == 1 and released == made
+
+    def fail(self):
+        raise RuntimeError("collect failed")
+
+    monkeypatch.setattr(type(spark.range(1)), "toPandas", fail)
+    with pytest.raises(RuntimeError, match="collect failed"):
+        apsp_matrix_spark(spark, n, edges, w)
+    assert len(made) == 2 and released == made

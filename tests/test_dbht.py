@@ -3,8 +3,7 @@ structure (Section V-D), and end-to-end clustering sanity."""
 import numpy as np
 import pytest
 
-from repro.core.dbht import (assign_vertices, build_hierarchy, dbht,
-                             tmfg_apsp)
+from repro.core.dbht import assign_vertices, dbht, tmfg_apsp
 from repro.core.metrics import ari
 from repro.core.tmfg import tmfg
 from repro.datasets import correlation_matrices, latent_curve_dataset
@@ -138,22 +137,6 @@ class TestHierarchy:
         if n_groups > 1:
             labels = res.dendrogram.cut_k(n_groups)
             assert ari(res.assignments.group, labels) == pytest.approx(1.0)
-
-    def test_explicit_subgroup_Z_matches_inline(self):
-        from repro.core.linkage import hac
-        S, D, t = make_case(40, 6, 4)
-        dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
-        sub_Z = {}
-        for g in np.unique(a.group):
-            for q in np.unique(a.bubble[a.group == g]):
-                members = np.flatnonzero((a.group == g) & (a.bubble == q))
-                if len(members) >= 2:
-                    sub_Z[(int(g), int(q))] = hac(
-                        dist[np.ix_(members, members)], "complete")
-        d1 = build_hierarchy(a, dist)
-        d2 = build_hierarchy(a, dist, subgroup_Z=sub_Z)
-        assert np.allclose(d1.merges, d2.merges)
 
 
 class TestEndToEnd:

@@ -1,19 +1,16 @@
-"""DBHT Spark SQL steps: every aggregation oracle-checked against DuckDB,
-and full assignments identical to the driver reference."""
+"""DBHT Spark SQL scores, the reference for the driver's assignment:
+every aggregation is oracle-checked against DuckDB, and the driver's
+bubble assignment equals the argmax of the Spark SQL chi' scores."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.dbht import assign_vertices, tmfg_apsp
-from repro.core.linkage import hac
 from repro.core.tmfg import tmfg
-from repro.datasets import correlation_matrices
 from repro.oracle import assert_equivalent
 from repro.spark.apsp_spark import apsp_df
-from repro.spark.dbht_spark import (assign_vertices_spark,
-                                    bubble_denominators, chi_prime_scores,
-                                    chi_scores, lbar_scores, membership_df,
-                                    subgroup_linkages_spark)
+from repro.spark.dbht_spark import (bubble_denominators, chi_prime_scores,
+                                    chi_scores, lbar_scores, membership_df)
 from repro.spark.similarity import sim_df_from_matrix
 
 
@@ -138,6 +135,8 @@ class TestOracleSQL:
 class TestAssignmentEquivalence:
     @pytest.mark.parametrize("seed,prefix", [(0, 1), (1, 4), (2, 10)])
     def test_matches_driver(self, spark, seed, prefix):
+        """Each vertex's driver bubble is its argmax over the Spark SQL
+        chi' rows, ties to the smaller bubble id."""
         rng = np.random.default_rng(seed)
         n = 50
         S = rng.random((n, n))
@@ -145,37 +144,11 @@ class TestAssignmentEquivalence:
         np.fill_diagonal(S, 1.0)
         D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
         t = tmfg(S, prefix=prefix)
-        dist = tmfg_apsp(D, t)
-        ref = assign_vertices(S, t, dist)
-        sim = sim_df_from_matrix(spark, S)
-        w = D[t.edges[:, 0], t.edges[:, 1]]
-        ddf = apsp_df(spark, n, t.edges, w)
-        got = assign_vertices_spark(spark, S, t, sim, ddf)
-        assert np.array_equal(got.group, ref.group)
-        assert np.array_equal(got.bubble, ref.bubble)
-        assert np.array_equal(got.converging, ref.converging)
-
-    def test_length1_series_raise(self, spark):
-        """Length-1 series give S = I, so every bubble's chi' denominator
-        is 0."""
-        S, D = correlation_matrices(np.arange(10.0).reshape(10, 1))
-        t = tmfg(S)
-        sim = sim_df_from_matrix(spark, S, edges=t.edges)
-        ddf = apsp_df(spark, t.n, t.edges, D[t.edges[:, 0], t.edges[:, 1]])
-        with pytest.raises(ValueError, match="chi'"):
-            assign_vertices_spark(spark, S, t, sim, ddf)
-
-
-class TestSubgroupLinkage:
-    def test_matches_driver_hac(self, spark, case):
-        S, D, t, dist = case
-        a = assign_vertices(S, t, dist)
-        got = subgroup_linkages_spark(spark, a, dist)
-        for g in np.unique(a.group):
-            for q in np.unique(a.bubble[a.group == g]):
-                members = np.flatnonzero((a.group == g) & (a.bubble == q))
-                if len(members) < 2:
-                    assert (int(g), int(q)) not in got
-                    continue
-                Z = hac(dist[np.ix_(members, members)], "complete")
-                assert np.allclose(got[(int(g), int(q))], Z)
+        ref = assign_vertices(S, t, tmfg_apsp(D, t))
+        chi2 = chi_prime_scores(membership_df(spark, t),
+                                sim_df_from_matrix(spark, S)).toPandas()
+        best = (chi2.sort_values(["v", "chi2", "bubble"],
+                                 ascending=[True, False, True])
+                .drop_duplicates("v"))
+        assert np.array_equal(best["v"].to_numpy(), np.arange(n))
+        assert np.array_equal(best["bubble"].to_numpy(), ref.bubble)

@@ -1,5 +1,6 @@
 """End-to-end pipeline: PAR-TDBHT (Spark) vs SEQ-TDBHT (driver) produce
-identical dendrograms; timing breakdown keys match Figure 5's steps."""
+identical dendrograms, also on generated adversarial inputs; timing
+breakdown keys match Figure 5's steps."""
 import numpy as np
 import pytest
 
@@ -17,18 +18,45 @@ def data():
     return ds, S, D
 
 
-@pytest.mark.parametrize("prefix", [1, 8])
-def test_par_equals_seq(spark, data, prefix):
-    ds, S, D = data
-    par = par_tdbht(spark, S, D, prefix=prefix, spark_tmfg=(prefix > 1))
+def adversarial(kind, seed=0):
+    """(S, D) of a generated input that stresses tie-breaking or precision:
+    ``ties`` rounds S to 1 decimal; ``duplicates`` overwrites a third of
+    the series with copies of others; ``near-constant`` shrinks a third of
+    them to a 1e-9 variation around a large offset."""
+    rng = np.random.default_rng(seed)
+    X = latent_curve_dataset("adv", 60, 80, 4, noise=0.5, shared=0.3,
+                             seed=seed).X
+    n = len(X)
+    rows = rng.choice(n, n // 3, replace=False)
+    if kind == "ties":
+        S = np.round(correlation_matrices(X)[0], 1)
+        return S, np.sqrt(np.maximum(2.0 * (1.0 - S), 0.0))
+    if kind == "duplicates":
+        X[rows] = X[rng.integers(0, n, len(rows))]
+    elif kind == "near-constant":
+        X[rows] = 1e3 * rng.standard_normal((len(rows), 1)) + 1e-9 * X[rows]
+    return correlation_matrices(X)
+
+
+@pytest.mark.parametrize("kind,prefix", [
+    pytest.param("latent", 1, id="1"),
+    pytest.param("latent", 8, id="8"),
+    *(pytest.param(kind, prefix, id=f"{kind}-{prefix}")
+      for kind in ("ties", "duplicates", "near-constant") for prefix in (1, 8)),
+])
+def test_par_equals_seq(spark, data, kind, prefix):
+    S, D = data[1:] if kind == "latent" else adversarial(kind)
     seq = seq_tdbht(S, D, prefix=prefix)
-    assert np.array_equal(par.tmfg.edges, seq.tmfg.edges)
-    assert np.array_equal(par.result.assignments.group,
-                          seq.result.assignments.group)
-    assert np.array_equal(par.result.assignments.bubble,
-                          seq.result.assignments.bubble)
-    assert np.allclose(par.result.dendrogram.merges,
-                       seq.result.dendrogram.merges)
+    for partitions in (None, 1, 2, 3, 4):
+        par = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions,
+                        spark_tmfg=(prefix > 1))
+        assert np.array_equal(par.tmfg.edges, seq.tmfg.edges)
+        assert np.array_equal(par.result.assignments.group,
+                              seq.result.assignments.group)
+        assert np.array_equal(par.result.assignments.bubble,
+                              seq.result.assignments.bubble)
+        assert np.allclose(par.result.dendrogram.merges,
+                           seq.result.dendrogram.merges)
 
 
 def test_times_breakdown_keys(spark, data):
@@ -51,6 +79,23 @@ def test_partitions_dont_change_result(spark, data):
     a = par_tdbht(spark, S, D, prefix=8, partitions=2, spark_tmfg=False)
     b = par_tdbht(spark, S, D, prefix=8, partitions=12, spark_tmfg=False)
     assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)
+
+
+def test_driver_tmfg_runs_only_the_apsp_jobs(spark, data):
+    """With the TMFG on the driver, the APSP collect is par_tdbht's only
+    Spark work: assignment and hierarchy run no jobs."""
+    _, S, D = data
+    sc = spark.sparkContext
+    group = "test-par-tdbht-jobs"
+    sc.setJobGroup(group, "par_tdbht with a driver TMFG")
+    try:
+        par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # let the listener bus record the jobs that just ended
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    jobs = sc.statusTracker().getJobIdsForGroup(group)
+    assert 0 < len(jobs) <= 2
 
 
 @pytest.mark.parametrize("n,prefix,where", [
@@ -81,7 +126,7 @@ def test_failure_leaves_nothing_persisted(spark, data, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("assignment failed")
 
-    monkeypatch.setattr(pipeline, "assign_vertices_spark", fail)
+    monkeypatch.setattr(pipeline, "assign_vertices", fail)
     with pytest.raises(RuntimeError, match="assignment failed"):
         par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
     assert set(persisted().keys()) <= before
