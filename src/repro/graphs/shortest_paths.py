@@ -3,13 +3,21 @@
 The DBHT algorithm needs all-pairs shortest paths on the TMFG (a planar
 graph with exactly ``3n - 6`` edges) under the *dissimilarity* edge
 weights. The environment ships no scipy, so Dijkstra is implemented with
-``heapq``. The Spark APSP job (``repro.spark.apsp_spark``) fans the
-sources out over executors and calls :func:`dijkstra` per source.
+``heapq``. It is the one kernel of every APSP here: the driver pipeline
+(``repro.core.dbht.tmfg_apsp``), the PMFG baseline and the Spark tasks of
+``repro.spark.apsp_spark``, which each run it for a block of sources and
+emit one dense distance row per source.
+
+The distances live in a plain Python list while the heap runs (indexing a
+numpy array per relaxation costs a scalar box and a mixed-type compare);
+the row becomes a numpy array once, at the end. The sums and comparisons
+are the same IEEE doubles either way, so the output is bit-identical.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -36,33 +44,33 @@ def dijkstra(adj: Adjacency, src: int) -> np.ndarray:
     Unreachable vertices get ``inf``. Standard binary-heap Dijkstra with
     lazy deletion; weights must be nonnegative.
     """
-    n = len(adj)
-    dist = np.full(n, np.inf)
+    dist = [math.inf] * len(adj)
     dist[src] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, src)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+                push(heap, (nd, v))
+    return np.array(dist)
 
 
 def apsp(n: int, edges: np.ndarray, weights: np.ndarray,
-         sources: Sequence[int] | None = None) -> np.ndarray:
+         sources: Iterable[int] | None = None) -> np.ndarray:
     """All-pairs (or selected-sources) shortest path distance matrix.
 
     Returns a ``(len(sources), n)`` matrix of distances (``sources``
     defaults to all vertices, giving the full ``(n, n)`` APSP matrix).
+    ``sources`` may be any iterable, a generator included.
     """
     adj = build_adjacency(n, edges, weights)
-    if sources is None:
-        sources = range(n)
-    out = np.empty((len(list(sources)) if not isinstance(sources, range) else len(sources), n))
+    sources = list(range(n) if sources is None else sources)
+    out = np.empty((len(sources), n))
     for i, s in enumerate(sources):
         out[i] = dijkstra(adj, int(s))
     return out

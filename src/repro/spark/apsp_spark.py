@@ -3,8 +3,13 @@
 APSP is the DBHT bottleneck (Section VII, runtime decomposition). The
 paper runs one Dijkstra per source in parallel; here source vertices are
 partitioned across Spark tasks and each task runs the shared Dijkstra
-substrate (``repro.graphs.shortest_paths``) over the broadcast adjacency,
-emitting long-format ``(src, dst, dist)`` rows.
+substrate (``repro.graphs.shortest_paths``) over the broadcast adjacency.
+
+The data plane is dense: each source yields one row ``(src, dist)`` whose
+``dist`` is its whole distance row as an ``array<double>``, so a collect
+moves n rows, not n^2, and the driver stacks them into the matrix. The
+sources come from ``spark.range`` with the partition count set at the
+source, so the plan has no shuffle and runs as a single Spark job.
 """
 from __future__ import annotations
 
@@ -16,12 +21,13 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphs.shortest_paths import build_adjacency, dijkstra
 
-DIST_SCHEMA = "src long, dst long, dist double"
+DIST_SCHEMA = "src long, dist array<double>"
 
 
 def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
             weights: np.ndarray, partitions: int | None = None) -> DataFrame:
-    """DataFrame of all-pairs shortest path distances (n^2 rows).
+    """DataFrame of all-pairs shortest path distances: n rows
+    ``(src, dist)``, ``dist`` being the length-n distance row of ``src``.
 
     The tasks read the edge list from a broadcast, which the returned
     DataFrame carries as ``edges_broadcast``: whoever materialises the
@@ -36,15 +42,13 @@ def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
         e, w = b_edges.value
         adj = build_adjacency(n, e, w)
         for pdf in batches:
-            for src in pdf["src"].to_numpy():
-                d = dijkstra(adj, int(src))
-                yield pd.DataFrame({
-                    "src": np.full(n, src, dtype=np.int64),
-                    "dst": np.arange(n, dtype=np.int64),
-                    "dist": d,
-                })
+            src = pdf["src"].to_numpy()
+            yield pd.DataFrame({
+                "src": src,
+                "dist": [dijkstra(adj, int(s)) for s in src],
+            })
 
-    sources = spark.range(n).toDF("src").repartition(parts)
+    sources = spark.range(0, n, 1, parts).toDF("src")
     df = sources.mapInPandas(run, DIST_SCHEMA)
     df.edges_broadcast = b_edges
     return df
@@ -60,6 +64,6 @@ def apsp_matrix_spark(spark: SparkSession, n: int, edges: np.ndarray,
         pdf = df.toPandas()
     finally:
         df.edges_broadcast.unpersist()
-    out = np.full((n, n), np.inf)
-    out[pdf["src"].to_numpy(), pdf["dst"].to_numpy()] = pdf["dist"].to_numpy()
-    return out
+    # spark.range gives each partition an ascending block of sources and
+    # the collect keeps partition order, so row i is source i
+    return np.stack(pdf["dist"].to_numpy())

@@ -13,8 +13,8 @@ The scores are genuine Catalyst join/aggregate plans:
   self-join + join with the similarity relation + groupBy-sum (Lines
   8-11);
 * ``L-bar(v, b) = AVG l_D(u, v) over u in V_b^0``    — candidate (vertex,
-  converging-bubble) pairs joined with the assigned-vertices and APSP
-  relations (Lines 14-17);
+  converging-bubble) pairs joined with the assigned-vertices relation and
+  the APSP rows, exploded into (src, dst, dist) pairs (Lines 14-17);
 * ``chi'(v, b)  = chi(v, b) / SUM w(u', v') over pairs in b`` (Lines
   18-23).
 
@@ -84,12 +84,14 @@ def lbar_scores(cand: DataFrame, vb0: DataFrame, dist: DataFrame) -> DataFrame:
     """L-bar(v, b) = mean shortest-path distance from v to V_b^0.
 
     ``cand`` is (v, bubble) candidate pairs; ``vb0`` is (bubble, u) the
-    first-pass assignment; ``dist`` is (src, dst, dist) APSP rows.
+    first-pass assignment; ``dist`` is the (src, dist array) APSP relation
+    of ``repro.spark.apsp_spark.apsp_df``, one distance row per source.
     """
+    pairs = dist.select("src", F.posexplode("dist").alias("dst", "dist"))
     # (v, bubble, u) is small (candidates x assigned vertices); broadcast
-    # it against the n^2-row APSP relation so ``dist`` never shuffles.
+    # it against the n^2 exploded APSP pairs so they never shuffle.
     small = cand.join(vb0, on="bubble")
-    joined = dist.join(
+    joined = pairs.join(
         F.broadcast(small),
         (F.col("u") == F.col("src")) & (F.col("v") == F.col("dst")),
     )

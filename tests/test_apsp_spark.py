@@ -20,18 +20,26 @@ def graph():
 
 
 def test_matches_driver(spark, graph):
+    """Bit for bit, at the default and every partition count, including
+    more partitions than sources (spark.range leaves some empty)."""
     n, edges, w = graph
     expected = apsp(n, edges, w)
-    got = apsp_matrix_spark(spark, n, edges, w)
-    assert np.allclose(got, expected, atol=0, rtol=0)
+    for partitions in (None, 1, 2, 3, 4, n + 17):
+        got = apsp_matrix_spark(spark, n, edges, w, partitions=partitions)
+        assert np.array_equal(got, expected), partitions
 
 
 def test_df_shape_and_zero_diag(spark, graph):
+    """One dense row per source: n rows, each dist of length n, zero at
+    its own source."""
     n, edges, w = graph
     df = apsp_df(spark, n, edges, w)
-    assert df.count() == n * n
-    diag = df.filter("src = dst").toPandas()
-    assert np.allclose(diag["dist"], 0.0)
+    pdf = df.toPandas()
+    df.edges_broadcast.unpersist()
+    assert len(pdf) == n
+    assert sorted(pdf["src"]) == list(range(n))
+    for src, dist in zip(pdf["src"], pdf["dist"]):
+        assert len(dist) == n and dist[src] == 0.0
 
 
 def test_symmetric(spark, graph):
@@ -45,6 +53,22 @@ def test_partitions_dont_change_result(spark, graph):
     a = apsp_matrix_spark(spark, n, edges, w, partitions=2)
     b = apsp_matrix_spark(spark, n, edges, w, partitions=13)
     assert np.array_equal(a, b)
+
+
+def test_one_spark_job(spark, graph):
+    """The sources come straight from spark.range: no shuffle, so one
+    collect is one Spark job."""
+    n, edges, w = graph
+    sc = spark.sparkContext
+    group = "test-apsp-matrix-jobs"
+    sc.setJobGroup(group, "apsp_matrix_spark")
+    try:
+        apsp_matrix_spark(spark, n, edges, w, partitions=4)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    # let the listener bus record the jobs that just ended
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
 def test_broadcast_released(spark, graph, monkeypatch):

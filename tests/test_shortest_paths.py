@@ -1,4 +1,7 @@
-"""Dijkstra/APSP substrate vs a brute-force Floyd-Warshall oracle."""
+"""Dijkstra/APSP substrate vs a brute-force Floyd-Warshall oracle, and
+bit for bit against the former numpy-array kernel."""
+import heapq
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,24 @@ def floyd_warshall(n, edges, weights):
     for k in range(n):
         d = np.minimum(d, d[:, [k]] + d[[k], :])
     return d
+
+
+def numpy_dijkstra(adj, src):
+    """The former kernel, frozen: distances in a numpy array indexed per
+    pop and relaxation. The list-backed kernel must match it bit for bit."""
+    dist = np.full(len(adj), np.inf)
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def random_graph(n, m, seed):
@@ -62,10 +83,17 @@ class TestDijkstra:
             assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-9)
 
     def test_selected_sources(self):
+        """Any iterable of sources works; a generator is read once, not
+        consumed by a length check that leaves the matrix uninitialised."""
         edges, weights = random_graph(15, 30, 8)
         full = apsp(15, edges, weights)
-        part = apsp(15, edges, weights, sources=[3, 7, 11])
-        assert np.allclose(part, full[[3, 7, 11]])
+        # distinct picks per case, so no case can be handed a recycled
+        # buffer that already holds the expected rows
+        for picked, sources in (([0, 5, 14, 2], (s for s in [0, 5, 14, 2])),
+                                ([3, 7, 11], [3, 7, 11]),
+                                ([9, 1], np.array([9, 1]))):
+            part = apsp(15, edges, weights, sources=sources)
+            assert np.array_equal(part, full[picked])
 
 
 class TestOnTMFG:
@@ -83,6 +111,37 @@ class TestOnTMFG:
         # path can't exceed the direct edge weight
         for (u, v), wd in zip(t.edges[:20], w[:20]):
             assert d[u, v] <= wd + 1e-12
+
+
+class TestBitIdentity:
+    """The list-backed kernel returns the same floats as the numpy-array
+    kernel it replaced, inf entries included."""
+
+    @staticmethod
+    def reference(n, edges, weights):
+        adj = build_adjacency(n, edges, weights)
+        return np.array([numpy_dijkstra(adj, s) for s in range(n)])
+
+    @pytest.mark.parametrize("n,seed", [(60, 0), (200, 1)])
+    def test_tie_heavy_tmfg(self, n, seed):
+        rng = np.random.default_rng(seed)
+        S = rng.random((n, n))
+        S = np.round((S + S.T) / 2, 1)
+        np.fill_diagonal(S, 1.0)
+        t = tmfg(S)
+        D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
+        w = D[t.edges[:, 0], t.edges[:, 1]]
+        assert np.array_equal(apsp(n, t.edges, w),
+                              self.reference(n, t.edges, w))
+
+    def test_disconnected(self):
+        edges, weights = random_graph(12, 14, 9)
+        # two components: shift a copy of the graph by 12 vertices
+        edges = np.vstack([edges, edges + 12])
+        weights = np.concatenate([weights, weights[::-1]])
+        got = apsp(24, edges, weights)
+        assert np.isinf(got).any()
+        assert np.array_equal(got, self.reference(24, edges, weights))
 
 
 def test_bfs_levels():
