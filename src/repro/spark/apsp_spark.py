@@ -2,8 +2,9 @@
 
 APSP is the DBHT bottleneck (Section VII, runtime decomposition). The
 paper runs one Dijkstra per source in parallel; here source vertices are
-partitioned across Spark tasks and each task runs the shared Dijkstra
-substrate (``repro.graphs.shortest_paths``) over the broadcast adjacency.
+partitioned across Spark tasks, and each task runs the shared kernel
+(``repro.graphs.shortest_paths.apsp``) once per Arrow batch, over the
+broadcast edge list, for that batch's block of sources.
 
 The data plane is dense: each source yields one row ``(src, dist)`` whose
 ``dist`` is its whole distance row as an ``array<double>``, so a collect
@@ -19,7 +20,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphs.shortest_paths import build_adjacency, dijkstra
+from repro.graphs.shortest_paths import apsp
 
 DIST_SCHEMA = "src long, dist array<double>"
 
@@ -40,13 +41,10 @@ def apsp_df(spark: SparkSession, n: int, edges: np.ndarray,
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         e, w = b_edges.value
-        adj = build_adjacency(n, e, w)
         for pdf in batches:
             src = pdf["src"].to_numpy()
-            yield pd.DataFrame({
-                "src": src,
-                "dist": [dijkstra(adj, int(s)) for s in src],
-            })
+            yield pd.DataFrame({"src": src,
+                                "dist": list(apsp(n, e, w, sources=src))})
 
     sources = spark.range(0, n, 1, parts).toDF("src")
     df = sources.mapInPandas(run, DIST_SCHEMA)

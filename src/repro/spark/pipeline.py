@@ -5,8 +5,8 @@ keys: ``tmfg``, ``apsp``, ``bubble-tree`` (directions + assignments) and
 ``hierarchy``. They differ only in where the first two run:
 
 * ``par_tdbht`` (PAR-TDBHT) builds the TMFG on the driver or with its
-  face re-scoring on Spark, and fans the APSP out over Spark tasks, one
-  Dijkstra per source;
+  face re-scoring on Spark, and fans the APSP out over Spark tasks, each
+  running the shared APSP kernel for its block of sources;
 * ``seq_tdbht`` (SEQ-TDBHT) runs both on the driver.
 
 Vertex assignment and the three-level linkage (Algorithm 4) are

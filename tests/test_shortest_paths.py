@@ -1,12 +1,14 @@
-"""Dijkstra/APSP substrate vs a brute-force Floyd-Warshall oracle, and
-bit for bit against the former numpy-array kernel."""
+"""APSP substrate vs a brute-force Floyd-Warshall oracle, and bit for bit
+against a frozen per-source heap Dijkstra."""
 import heapq
 
 import numpy as np
 import pytest
 
+from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
-from repro.graphs.shortest_paths import apsp, bfs_levels, build_adjacency, dijkstra
+from repro.datasets import correlation_matrices, latent_curve_dataset
+from repro.graphs.shortest_paths import apsp, bfs_levels
 
 
 def floyd_warshall(n, edges, weights):
@@ -20,9 +22,19 @@ def floyd_warshall(n, edges, weights):
     return d
 
 
+def build_adjacency(n, edges, weights):
+    """Adjacency lists ``[(neighbour, weight), ...]`` of an undirected graph."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in zip(edges, weights):
+        u, v, w = int(u), int(v), float(w)
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
 def numpy_dijkstra(adj, src):
-    """The former kernel, frozen: distances in a numpy array indexed per
-    pop and relaxation. The list-backed kernel must match it bit for bit."""
+    """A former kernel, frozen: binary-heap Dijkstra with lazy deletion,
+    distances in a numpy array. ``apsp`` must match it bit for bit."""
     dist = np.full(len(adj), np.inf)
     dist[src] = 0.0
     heap = [(0.0, src)]
@@ -62,14 +74,13 @@ class TestDijkstra:
     def test_disconnected_inf(self):
         edges = np.array([[0, 1], [2, 3]])
         weights = np.array([1.0, 2.0])
-        d = dijkstra(build_adjacency(4, edges, weights), 0)
+        d = apsp(4, edges, weights, sources=[0])[0]
         assert d[1] == 1.0 and np.isinf(d[2]) and np.isinf(d[3])
 
     def test_source_zero(self):
         edges, weights = random_graph(20, 40, 5)
-        adj = build_adjacency(20, edges, weights)
-        for s in range(5):
-            assert dijkstra(adj, s)[s] == 0.0
+        d = apsp(20, edges, weights, sources=range(5))
+        assert np.all(d[range(5), range(5)] == 0.0)
 
     def test_symmetry_undirected(self):
         edges, weights = random_graph(25, 60, 6)
@@ -114,13 +125,14 @@ class TestOnTMFG:
 
 
 class TestBitIdentity:
-    """The list-backed kernel returns the same floats as the numpy-array
-    kernel it replaced, inf entries included."""
+    """The sweep kernel returns the same floats as the per-source heap
+    Dijkstra it replaced, inf entries included."""
 
     @staticmethod
-    def reference(n, edges, weights):
+    def reference(n, edges, weights, sources=None):
         adj = build_adjacency(n, edges, weights)
-        return np.array([numpy_dijkstra(adj, s) for s in range(n)])
+        sources = range(n) if sources is None else sources
+        return np.array([numpy_dijkstra(adj, s) for s in sources])
 
     @pytest.mark.parametrize("n,seed", [(60, 0), (200, 1)])
     def test_tie_heavy_tmfg(self, n, seed):
@@ -142,6 +154,79 @@ class TestBitIdentity:
         got = apsp(24, edges, weights)
         assert np.isinf(got).any()
         assert np.array_equal(got, self.reference(24, edges, weights))
+
+    def test_pmfg(self):
+        """A maximal planar graph that is not a 3-tree: its peeling order
+        is no insertion order, and the result must not depend on that."""
+        rng = np.random.default_rng(2)
+        S = rng.random((40, 40))
+        S = (S + S.T) / 2
+        np.fill_diagonal(S, 1.0)
+        edges = pmfg(S)
+        w = np.sqrt(2 * (1 - S[edges[:, 0], edges[:, 1]]))
+        assert np.array_equal(apsp(40, edges, w),
+                              self.reference(40, edges, w))
+
+    def test_zero_weight_edges(self):
+        """Duplicated series have correlation 1, so D is 0 on some edges."""
+        rng = np.random.default_rng(3)
+        X = latent_curve_dataset("dup", 60, 80, 4, noise=0.5, shared=0.3,
+                                 seed=3).X
+        rows = rng.choice(60, 20, replace=False)
+        X[rows] = X[rng.integers(0, 60, 20)]
+        S, D = correlation_matrices(X)
+        t = tmfg(S)
+        w = D[t.edges[:, 0], t.edges[:, 1]]
+        assert (w == 0).any()
+        assert np.array_equal(apsp(60, t.edges, w),
+                              self.reference(60, t.edges, w))
+
+    def test_scrambled_sources_with_repeat(self):
+        rng = np.random.default_rng(4)
+        S = rng.random((80, 80))
+        S = (S + S.T) / 2
+        t = tmfg(S)
+        w = np.sqrt(2 * (1 - S[t.edges[:, 0], t.edges[:, 1]]))
+        sources = list(rng.permutation(80)[:30]) + [11, 5, 11]
+        assert np.array_equal(apsp(80, t.edges, w, sources=sources),
+                              self.reference(80, t.edges, w, sources))
+
+    def test_scrambled_long_path(self):
+        """A path with scrambled vertex ids, the order-adversarial case:
+        sweeping in vertex-id order would need about n/2 sweeps."""
+        n = 150
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(n)
+        edges = np.column_stack([ids[:-1], ids[1:]])
+        w = rng.random(n - 1)
+        assert np.array_equal(apsp(n, edges, w), self.reference(n, edges, w))
+
+
+class TestInputContract:
+    """Inputs a shortest-path kernel cannot answer raise instead of
+    returning wrong distances."""
+
+    edges = np.array([[0, 1], [1, 2], [2, 3]])
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_bad_weight(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            apsp(4, self.edges, np.array([1.0, bad, 1.0]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="weights"):
+            apsp(4, self.edges, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_endpoint_out_of_range(self, bad):
+        edges = np.array([[0, 1], [1, bad]])
+        with pytest.raises(ValueError, match="endpoints"):
+            apsp(4, edges, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_source_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="sources"):
+            apsp(4, self.edges, np.ones(3), sources=[0, bad])
 
 
 def test_bfs_levels():
