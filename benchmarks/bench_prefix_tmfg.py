@@ -1,11 +1,10 @@
 """Benchmark: TMFG construction alone vs prefix size (the Figure 5 "tmfg"
-bars), driver reference and Spark dataflow."""
+bars). Both pipelines build the TMFG with this driver engine."""
 import pytest
 
 from repro.bench import prepare
 from repro.core.tmfg import tmfg
 from repro.datasets import load_ucr_lite
-from repro.spark.tmfg_spark import tmfg_spark
 
 _CACHE = {}
 
@@ -25,14 +24,3 @@ def test_tmfg_driver(benchmark, prefix):
                            iterations=1)
     benchmark.extra_info["rounds"] = t.rounds
 
-
-@pytest.mark.parametrize("prefix", [10, 50, 200])
-def test_tmfg_spark(benchmark, spark, prefix):
-    S = get_S()
-    out = {}
-
-    def run():
-        out["t"] = tmfg_spark(spark, S, prefix=prefix)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["rounds"] = out["t"].rounds

@@ -1,9 +1,8 @@
 """Benchmark: Figure 4 scalability — runtime vs partition count (the
 local-mode stand-in for thread count) on Crop-lite (n=1294), the largest
-data set, matching the paper's choice. The TMFG stays on the driver here
-so the sweep isolates the genuinely distributed stages (APSP dominates,
-as in the paper's sequential bottleneck analysis); the prefix-parallelism
-side of Figure 4 is covered by bench_prefix_tmfg.py.
+data set, matching the paper's choice. The TMFG runs on the driver, so
+the sweep isolates the one distributed stage, APSP; the
+prefix-parallelism side of Figure 4 is covered by bench_prefix_tmfg.py.
 """
 import pytest
 
@@ -27,8 +26,7 @@ def test_par_tdbht_partitions(benchmark, spark, partitions):
 
     def run():
         out["r"] = run_par_tdbht(spark, ds, S, D, k, prefix=50,
-                                 partitions=partitions,
-                                 force_spark_tmfg=False)
+                                 partitions=partitions)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["rounds"] = out["r"]["rounds"]

@@ -23,9 +23,12 @@ from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
 from repro.datasets import TSDataset, correlation_matrices, znorm
-# SPARK_TMFG_MAX_ROUNDS is re-exported for perfbench/run.py
-from repro.spark.pipeline import (SPARK_TMFG_MAX_ROUNDS,  # noqa: F401
-                                  par_tdbht, seq_tdbht)
+from repro.spark.pipeline import par_tdbht, seq_tdbht
+
+# Exists only for perfbench/run.py::tmfg_placement, which puts the TMFG on
+# Spark when (n - 4) / prefix <= this value: negative, so it reads False
+# for every input. It goes with that harness function.
+SPARK_TMFG_MAX_ROUNDS = -1
 
 
 def prepare(ds: TSDataset):
@@ -51,13 +54,10 @@ def run_seq_tdbht(ds: TSDataset, S, D, k, prefix: int = 1) -> Dict:
 
 
 def run_par_tdbht(spark, ds: TSDataset, S, D, k, prefix: int,
-                  partitions: Optional[int] = None,
-                  force_spark_tmfg: Optional[bool] = None) -> Dict:
-    run = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions,
-                    spark_tmfg=force_spark_tmfg)
+                  partitions: Optional[int] = None) -> Dict:
+    run = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions)
     return {"time": run.total, "ari": ari(ds.y, run.result.dendrogram.cut_k(k)),
-            "steps": run.times, "rounds": run.tmfg.rounds,
-            "spark_tmfg": run.spark_tmfg}
+            "steps": run.times, "rounds": run.tmfg.rounds}
 
 
 def run_linkage(ds: TSDataset, S, D, k, method: str) -> Dict:

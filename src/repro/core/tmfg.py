@@ -10,26 +10,22 @@ GAINS lives on the driver, next to the topology, as per-face arrays
 indexed by face id: the corners ``tri``, the best remaining vertex
 ``best_v``, its ``gain`` and an ``alive`` mask (fewer than 3n faces are
 ever created). The only O(n)-per-face work, re-scoring the new faces and
-the faces whose best vertex was just inserted (Lines 15-16), goes through
-a scorer that takes a batch of faces and the remaining-vertex mask.
-``tmfg`` scores with numpy on the driver; ``repro.spark.tmfg_spark``
-scores with a Spark ``mapInPandas`` kernel that runs the same numpy
-expression, so both give bit-identical output. All ties break toward
-smaller vertex/face ids.
+the faces whose best vertex was just inserted (Lines 15-16), is one
+blocked numpy pass per round. Both pipelines build the TMFG here, on the
+driver: a Spark round costs about 0.3 s of job latency while a whole
+driver TMFG takes 0.03-0.7 s on the data sets here (EXPERIMENTS.md, TMFG
+placement). All ties break toward smaller vertex/face ids.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graphs.bubble_tree import BubbleTree
 
 Triangle = Tuple[int, int, int]
-# (faces (k, 3) sorted corners, remaining (n,) mask) -> (best_v (k,), gain (k,))
-Scorer = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -78,7 +74,7 @@ def _score(S: np.ndarray, faces: np.ndarray,
     """Best remaining vertex per face row and its gain (ties: smallest id).
 
     The gain row is ``S[a] + S[b] + S[c]`` over the sorted corners, summed
-    left to right; every scorer must keep this order to stay bit-identical.
+    left to right.
     """
     best = np.empty(len(faces), dtype=np.int64)
     gain = np.empty(len(faces))
@@ -110,8 +106,9 @@ def select_batch(best_v: np.ndarray, gain: np.ndarray, alive: np.ndarray,
     return list(zip(best_v[keep].tolist(), keep.tolist()))
 
 
-def _construct(S: np.ndarray, prefix: int, score: Scorer) -> TMFGResult:
-    """Algorithm 1 on a checked ``S``, re-scoring faces with ``score``."""
+def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
+    """Construct the TMFG of similarity matrix ``S`` (Algorithm 1)."""
+    S = _check_similarity(S)
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     n = S.shape[0]
@@ -140,7 +137,7 @@ def _construct(S: np.ndarray, prefix: int, score: Scorer) -> TMFGResult:
     rescore = np.arange(4)  # Line 5: the initial GAINS
     # Lines 8-17: insert remaining vertices in batches of up to ``prefix``.
     while remaining.any():
-        best_v[rescore], gain[rescore] = score(tri[rescore], remaining)
+        best_v[rescore], gain[rescore] = _score(S, tri[rescore], remaining)
         rounds += 1
         batch = select_batch(best_v, gain, alive, prefix)
         inserted = [v for v, _ in batch]
@@ -166,9 +163,3 @@ def _construct(S: np.ndarray, prefix: int, score: Scorer) -> TMFGResult:
     assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
     return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,
                       rounds=rounds, seed_vertices=seed, insertions=insertions)
-
-
-def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
-    """Construct the TMFG of similarity matrix ``S`` (Algorithm 1)."""
-    S = _check_similarity(S)
-    return _construct(S, prefix, functools.partial(_score, S))

@@ -59,11 +59,15 @@ def _smooth(curve: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+# Rows with a smaller standard deviation count as constant.
+MIN_STD = 1e-12
+
+
 def znorm(X: np.ndarray) -> np.ndarray:
-    """Z-normalize each row; a constant row (std < 1e-12) becomes zeros."""
+    """Z-normalize each row; a constant row (std < MIN_STD) becomes zeros."""
     mu = X.mean(axis=1, keepdims=True)
     sd = X.std(axis=1, keepdims=True)
-    sd[sd < 1e-12] = 1.0
+    sd[sd < MIN_STD] = 1.0
     return (X - mu) / sd
 
 
@@ -169,8 +173,23 @@ def load_ucr_lite(dataset_id: int, *, seed: int = 0) -> TSDataset:
 
 # ------------------------------------------------------------- correlations
 def correlation_matrices(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(similarity S = Pearson p, dissimilarity D = sqrt(2(1-p)))."""
-    Z = znorm(np.asarray(X, dtype=np.float64))
+    """(similarity S = Pearson p, dissimilarity D = sqrt(2(1-p))).
+
+    ``X`` is ``(n, L)``: n series of L time points. Raises ``ValueError``
+    on non-finite values, on L < 2 and on a zero-variance row (std <
+    ``MIN_STD``), whose correlation is undefined.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if X.shape[1] < 2:
+        raise ValueError("each series needs at least 2 time points")
+    flat = np.flatnonzero(X.std(axis=1) < MIN_STD)
+    if len(flat):
+        raise ValueError(f"{len(flat)} zero-variance series (std < "
+                         f"{MIN_STD:g}), first row {flat[0]}: their "
+                         "correlation is undefined")
+    Z = znorm(X)
     p = (Z @ Z.T) / Z.shape[1]
     p = np.clip(p, -1.0, 1.0)
     np.fill_diagonal(p, 1.0)

@@ -1,7 +1,9 @@
-"""Spark (distributed dataflow) implementations of the paper's algorithms.
+"""Spark (distributed dataflow) parts of the reproduction.
 
-Every module here has a driver-side numpy reference in ``repro.core`` /
-``repro.graphs``; tests assert bit-identical results between the two
-paths, and every Spark SQL aggregation is additionally checked against
-DuckDB via ``repro.oracle.assert_equivalent``.
+``pipeline`` is PAR-TDBHT, whose one Spark stage is the APSP of
+``apsp_spark`` (tested bit-identical to the driver kernel of
+``repro.graphs.shortest_paths``). ``dbht_spark`` and ``similarity`` are
+the Spark SQL reference plans of the DBHT scores, each checked against
+DuckDB via ``repro.oracle.assert_equivalent``. The TMFG, the correlation,
+vertex assignment and the hierarchy run on the driver in both pipelines.
 """

@@ -80,6 +80,30 @@ class TestCorrelation:
         _, D = correlation_matrices(ds.X)
         assert D.min() >= 0 and D.max() <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raise(self, bad):
+        X = np.random.default_rng(5).random((6, 10))
+        X[2, 3] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            correlation_matrices(X)
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_fewer_than_two_time_points_raise(self, length):
+        X = np.random.default_rng(6).random((6, length))
+        with pytest.raises(ValueError, match="at least 2 time points"):
+            correlation_matrices(X)
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-13])
+    def test_zero_variance_row_raise(self, spread):
+        """A constant row (std below the ``znorm`` threshold) has no
+        correlation; unchecked, ``znorm`` zeroes it, and depending on the
+        input the clustering silently uses S = 0 for it or assignment
+        fails with "bubble similarity sums must be positive"."""
+        X = np.random.default_rng(7).random((6, 10))
+        X[4] = 3.0 + spread * np.arange(10)
+        with pytest.raises(ValueError, match="zero-variance.*first row 4"):
+            correlation_matrices(X)
+
 
 class TestStocks:
     def test_shapes_and_sectors(self):

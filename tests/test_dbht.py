@@ -74,9 +74,10 @@ class TestAssignments:
             assert scores[a.bubble[v]] == max(scores.values())
 
     def test_length1_series_raise(self):
-        """Length-1 series give S = I, so every bubble's chi' denominator
-        is 0."""
-        S, D = correlation_matrices(np.arange(10.0).reshape(10, 1))
+        """S = I makes every bubble's chi' denominator 0 (the S of
+        length-1 series, which ``correlation_matrices`` rejects)."""
+        S = np.eye(10)
+        D = np.sqrt(2.0 * (1.0 - S))
         t = tmfg(S)
         with pytest.raises(ValueError, match="chi'"):
             assign_vertices(S, t, tmfg_apsp(D, t))

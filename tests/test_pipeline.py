@@ -48,8 +48,7 @@ def test_par_equals_seq(spark, data, kind, prefix):
     S, D = data[1:] if kind == "latent" else adversarial(kind)
     seq = seq_tdbht(S, D, prefix=prefix)
     for partitions in (None, 1, 2, 3, 4):
-        par = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions,
-                        spark_tmfg=(prefix > 1))
+        par = par_tdbht(spark, S, D, prefix=prefix, partitions=partitions)
         assert np.array_equal(par.tmfg.edges, seq.tmfg.edges)
         assert np.array_equal(par.result.assignments.group,
                               seq.result.assignments.group)
@@ -61,7 +60,7 @@ def test_par_equals_seq(spark, data, kind, prefix):
 
 def test_times_breakdown_keys(spark, data):
     _, S, D = data
-    run = par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    run = par_tdbht(spark, S, D, prefix=8)
     assert set(run.times) == {"tmfg", "apsp", "bubble-tree", "hierarchy"}
     assert all(v >= 0 for v in run.times.values())
     assert run.total == pytest.approx(sum(run.times.values()))
@@ -69,53 +68,33 @@ def test_times_breakdown_keys(spark, data):
 
 def test_quality_on_easy_data(spark, data):
     ds, S, D = data
-    run = par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+    run = par_tdbht(spark, S, D, prefix=8)
     labels = run.result.dendrogram.cut_k(ds.n_classes)
     assert ari(ds.y, labels) > 0.5
 
 
 def test_partitions_dont_change_result(spark, data):
     _, S, D = data
-    a = par_tdbht(spark, S, D, prefix=8, partitions=2, spark_tmfg=False)
-    b = par_tdbht(spark, S, D, prefix=8, partitions=12, spark_tmfg=False)
+    a = par_tdbht(spark, S, D, prefix=8, partitions=2)
+    b = par_tdbht(spark, S, D, prefix=8, partitions=12)
     assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)
 
 
 def test_driver_tmfg_runs_only_the_apsp_jobs(spark, data):
-    """With the TMFG on the driver, the APSP collect is par_tdbht's only
-    Spark work: assignment and hierarchy run no jobs."""
+    """The APSP collect is par_tdbht's only Spark work: the TMFG,
+    assignment and hierarchy run no jobs."""
     _, S, D = data
     sc = spark.sparkContext
     group = "test-par-tdbht-jobs"
-    sc.setJobGroup(group, "par_tdbht with a driver TMFG")
+    sc.setJobGroup(group, "par_tdbht")
     try:
-        par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+        par_tdbht(spark, S, D, prefix=8)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     # let the listener bus record the jobs that just ended
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     jobs = sc.statusTracker().getJobIdsForGroup(group)
     assert 0 < len(jobs) <= 2
-
-
-@pytest.mark.parametrize("n,prefix,where", [
-    (200, 1, "driver"),  # 196 rounds > SPARK_TMFG_MAX_ROUNDS
-    (200, 2, "spark"),
-    (60, 1, "spark"),
-])
-def test_default_tmfg_placement(spark, monkeypatch, n, prefix, where):
-    class Placed(Exception):
-        pass
-
-    def place(name):
-        def fn(*args, **kwargs):
-            raise Placed(name)
-        return fn
-
-    monkeypatch.setattr(pipeline, "tmfg", place("driver"))
-    monkeypatch.setattr(pipeline, "tmfg_spark", place("spark"))
-    with pytest.raises(Placed, match=where):
-        par_tdbht(spark, np.eye(n), np.eye(n), prefix=prefix)
 
 
 def test_failure_leaves_nothing_persisted(spark, data, monkeypatch):
@@ -128,5 +107,5 @@ def test_failure_leaves_nothing_persisted(spark, data, monkeypatch):
 
     monkeypatch.setattr(pipeline, "assign_vertices", fail)
     with pytest.raises(RuntimeError, match="assignment failed"):
-        par_tdbht(spark, S, D, prefix=8, spark_tmfg=False)
+        par_tdbht(spark, S, D, prefix=8)
     assert set(persisted().keys()) <= before

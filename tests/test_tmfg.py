@@ -1,5 +1,7 @@
 """TMFG construction tests: structural invariants, greedy semantics at
-prefix=1, prefix batching behavior, determinism."""
+prefix=1, prefix batching behavior, determinism, pinned output."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,36 @@ class TestSelectBatch:
         gains = gains_arrays({5: (1, 2.0), 2: (3, 2.0), 9: (4, 2.0)})
         batch = select_batch(*gains, 2)
         assert {fid for _, fid in batch} == {2, 5}
+
+
+def tmfg_digest(t):
+    """sha256 over everything a TMFG run decides: edges, rounds,
+    insertions and the bubble tree."""
+    h = hashlib.sha256()
+    tree = t.tree
+    for part in (t.edges.tolist(), t.rounds, t.insertions, tree.bubbles,
+                 tree.parent, tree.children, tree.sep_triangle, tree.root):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n,seed,prefix,decimals,expected", [
+    (30, 0, 1, None,
+     "e0ffb5bd0deb86045dd1f82dddb212c0f5024d90e0cf9106f22d8d6581b09d05"),
+    (60, 1, 4, None,
+     "6fffa504f13359f0ddb09b39a4e1ee69f4a6748ad4bb682ec667e1efe691b146"),
+    (90, 2, 10, None,
+     "82b71247f995a6277e01dce1c3e66bb0d286f447bc382d2f9d90f60ac5c92f94"),
+    (60, 3, 1000, None,  # prefix larger than n
+     "6ac26e2de136ff37211c64354d8ff395328ae3664a40dc49b58b5bc7cdbdae23"),
+    (70, 5, 3, 1,  # heavy ties in gains, best vertices and face order
+     "db47efdb4333ae252bbd246bfaceb7e92ae4a5824bab024ce396ff8359c7de52"),
+], ids=["30-0-1", "60-1-4", "90-2-10", "60-3-1000", "ties-70-5-3"])
+def test_pinned_output(n, seed, prefix, decimals, expected):
+    """Bit identity: the TMFG of each case (one of them tie-heavy) keeps
+    the digest pinned here, so any change to selection, tie-breaking or
+    scoring order shows."""
+    S = rand_sim(n, seed)
+    if decimals is not None:
+        S = np.round(S, decimals)
+    assert tmfg_digest(tmfg(S, prefix=prefix)) == expected
