@@ -3,7 +3,8 @@
 The paper sweeps thread counts on 48 cores; in local-mode Spark the
 equivalent knob is the number of partitions (tasks <= partitions bounds
 concurrency). We sweep partitions for several prefix sizes on the largest
-data set (Crop-lite) and report speedup relative to 1 partition.
+data set (Crop-lite) and report speedup relative to 1 partition, and the
+wall time of each pipeline step.
 
 Usage: spark-submit jobs/table_fig4_scalability.py [dataset_id]
 """
@@ -15,6 +16,7 @@ from repro.datasets import load_ucr_lite
 
 PARTITIONS = [1, 2, 4, 8, 16]
 PREFIXES = [1, 50, 200]
+STEPS = ["tmfg", "apsp", "bubble-tree", "hierarchy"]  # keys of r["steps"]
 
 
 def main(did: int):
@@ -33,10 +35,11 @@ def main(did: int):
             if base is None:
                 base = r["time"]
             rows.append((ds.name, prefix, parts, round(r["time"], 3),
-                         round(base / r["time"], 2), r["rounds"]))
+                         round(base / r["time"], 2), r["rounds"])
+                        + tuple(round(r["steps"][s], 3) for s in STEPS))
     table = markdown_table(
-        ["dataset", "prefix", "partitions", "time_s", "speedup", "rounds"],
-        rows)
+        ["dataset", "prefix", "partitions", "time_s", "speedup", "rounds"]
+        + [f"{s}_s" for s in STEPS], rows)
     write_result("table_fig4_scalability.md",
                  "# Fig. 4 (speedup vs parallelism)\n\n" + table)
     spark.stop()

@@ -5,24 +5,26 @@ PMFG-DBHT comparator: unlike ``repro.core.dbht`` (which exploits the TMFG
 construction to get the bubble tree for free), this module detects bubbles
 from scratch — enumerate all triangles, test each for being separating
 (does removing its 3 vertices disconnect the graph?), cut the graph along
-every separating triangle, and connect pieces sharing a triangle. Edge
-directions are computed by the original quadratic method (per-edge BFS of
-interior vs exterior weight). Assignments use the paper's general
-formulas, with chi normalized by ``3(|b| - 2)`` (the bubble's edge count)
-since PMFG bubbles need not be 4-cliques.
+every separating triangle, and connect pieces sharing a triangle. The
+result is a :class:`PlanarBubbleTree`, a ``BubbleTree`` whose edge
+directions come from the original quadratic method (per-edge BFS of
+interior vs exterior weight); converging bubbles and reachability are the
+TMFG tree's. Assignments use the paper's general formulas, with chi
+normalized by ``3(|b| - 2)`` (the bubble's edge count) since PMFG bubbles
+need not be 4-cliques; the hierarchy is ``repro.core.dbht``'s.
 
 For TMFG inputs this entire machinery must reproduce the fast path's
 bubble tree and assignments exactly — a test cross-validates that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.dbht import Assignments, DBHTResult, build_hierarchy
 from repro.graphs import shortest_paths
+from repro.graphs.bubble_tree import BubbleTree
 
 
 def _adjacency(n: int, edges: np.ndarray) -> List[Set[int]]:
@@ -66,26 +68,15 @@ def _components(vertices: Set[int], adj: List[Set[int]],
     return comps
 
 
-@dataclass
-class GenericBubbleTree:
-    """Bubble tree of an arbitrary maximal planar graph."""
+class PlanarBubbleTree(BubbleTree):
+    """Bubble tree of an arbitrary maximal planar graph, detected from
+    scratch; bubbles are sorted vertex tuples of any size >= 4.
 
-    bubbles: List[Tuple[int, ...]]  # sorted vertex tuples, variable size
-    parent: List[int]
-    children: List[List[int]]
-    sep_triangle: List[Optional[Tuple[int, int, int]]]
-    root: int
-    down: Optional[np.ndarray] = None  # parent -> child edge direction
-
-    def n_bubbles(self) -> int:
-        return len(self.bubbles)
-
-    def vertex_memberships(self, n: int) -> List[List[int]]:
-        mem: List[List[int]] = [[] for _ in range(n)]
-        for b, verts in enumerate(self.bubbles):
-            for v in verts:
-                mem[v].append(b)
-        return mem
+    Only the edge directions differ from the TMFG tree: Algorithm 3's
+    linear accumulation needs the TMFG's invariant that an edge's subtree
+    lies inside its separating triangle, so this tree keeps the original
+    quadratic computation.
+    """
 
     def subtree_vertices(self, b: int) -> Set[int]:
         out: Set[int] = set()
@@ -96,8 +87,9 @@ class GenericBubbleTree:
             stack.extend(self.children[x])
         return out
 
-    # ---- original quadratic direction computation -----------------------
     def compute_directions(self, S: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Per tree edge, compare the triangle's edge weight into the
+        subtree's interior with the weight out of it (quadratic)."""
         n = S.shape[0]
         adj = _adjacency(n, edges)
         down = np.zeros(self.n_bubbles(), dtype=bool)
@@ -114,52 +106,8 @@ class GenericBubbleTree:
         self.down = down
         return down
 
-    def out_degrees(self) -> np.ndarray:
-        out = np.zeros(self.n_bubbles(), dtype=np.int64)
-        for b in range(self.n_bubbles()):
-            p = self.parent[b]
-            if p == -1:
-                continue
-            if self.down[b]:
-                out[p] += 1
-            else:
-                out[b] += 1
-        return out
 
-    def converging_bubbles(self) -> np.ndarray:
-        return np.flatnonzero(self.out_degrees() == 0)
-
-    def reachable_converging(self) -> np.ndarray:
-        n_b = self.n_bubbles()
-        cvg = self.converging_bubbles()
-        succ: List[List[int]] = [[] for _ in range(n_b)]
-        for b in range(n_b):
-            p = self.parent[b]
-            if p == -1:
-                continue
-            if self.down[b]:
-                succ[p].append(b)
-            else:
-                succ[b].append(p)
-        R = np.zeros((n_b, len(cvg)), dtype=bool)
-        for k, b in enumerate(cvg):
-            R[int(b), k] = True
-        # exhaustive DFS per node (quadratic, like the original)
-        for b in range(n_b):
-            seen = set()
-            stack = [b]
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(succ[x])
-            for x in seen:
-                R[b] |= R[x]
-        return R
-
-
-def planar_bubble_tree(n: int, edges: np.ndarray) -> GenericBubbleTree:
+def planar_bubble_tree(n: int, edges: np.ndarray) -> PlanarBubbleTree:
     """Detect bubbles of a maximal planar graph from scratch.
 
     Cut the vertex set along every separating triangle (each separates the
@@ -218,12 +166,12 @@ def planar_bubble_tree(n: int, edges: np.ndarray) -> GenericBubbleTree:
                 queue.append(y)
     if not all(visited):
         raise ValueError("bubble adjacency is not connected")
-    return GenericBubbleTree(bubbles=bubbles, parent=parent,
-                             children=children, sep_triangle=sep, root=0)
+    return PlanarBubbleTree(bubbles=bubbles, parent=parent,
+                            children=children, sep_triangle=sep, root=0)
 
 
 # --------------------------------------------------------------- assignments
-def assign_vertices_generic(S: np.ndarray, tree: GenericBubbleTree,
+def assign_vertices_generic(S: np.ndarray, tree: PlanarBubbleTree,
                             dist: np.ndarray) -> Assignments:
     """The original assignment rules with general bubble sizes.
 

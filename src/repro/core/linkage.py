@@ -16,15 +16,12 @@ from typing import List
 import numpy as np
 
 
-def hac(D: np.ndarray, method: str = "complete",
-        sizes: np.ndarray | None = None) -> np.ndarray:
+def hac(D: np.ndarray, method: str = "complete") -> np.ndarray:
     """Agglomerate ``m`` items with pairwise distances ``D`` (symmetric).
 
-    ``sizes`` gives initial cluster sizes (used by average linkage when the
-    "items" are pre-formed clusters, as in DBHT's group level; defaults to
-    all ones). Returns a scipy-style linkage matrix ``Z`` of shape
-    ``(m-1, 4)``: columns are (left id, right id, merge distance, new
-    size); leaves are ``0..m-1``, the merge in row ``r`` creates node
+    Returns a scipy-style linkage matrix ``Z`` of shape ``(m-1, 4)``:
+    columns are (left id, right id, merge distance, number of items in the
+    new cluster); leaves are ``0..m-1``, the merge in row ``r`` creates node
     ``m + r``. Rows are in merge (NN-chain) order; distances are monotone
     along every root path but not necessarily sorted across rows.
     """
@@ -39,7 +36,7 @@ def hac(D: np.ndarray, method: str = "complete",
         return np.empty((0, 4))
     W = D.astype(np.float64, copy=True)
     np.fill_diagonal(W, np.inf)
-    size = np.ones(m) if sizes is None else np.asarray(sizes, dtype=np.float64).copy()
+    size = np.ones(m)
     # slot s holds cluster cluster_id[s]; inactive slots have cluster_id -1
     cluster_id = np.arange(m, dtype=np.int64)
     active = np.ones(m, dtype=bool)

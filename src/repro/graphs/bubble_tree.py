@@ -8,6 +8,12 @@ invariant that all descendants of an edge lie in the interior of the edge's
 separating triangle, which lets edge directions (Algorithm 3) be computed
 in Theta(n) total work by a bottom-up accumulation instead of the original
 per-triangle BFS (Theta(n^2)).
+
+The navigation after the directions (out-degrees, converging bubbles and
+the converging bubbles each bubble reaches, by one pass up and one down the
+rooted tree) holds on any bubble tree; the PMFG baseline's
+``repro.core.generic_dbht.PlanarBubbleTree`` inherits it and overrides
+only the directions.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ class BubbleTree:
     separating triangle on the tree edge between ``i`` and ``parent[i]``.
     """
 
-    bubbles: List[Tuple[int, int, int, int]] = field(default_factory=list)
+    bubbles: List[Tuple[int, ...]] = field(default_factory=list)
     parent: List[int] = field(default_factory=list)
     children: List[List[int]] = field(default_factory=list)
     sep_triangle: List[Optional[Triangle]] = field(default_factory=list)
@@ -184,45 +190,22 @@ class BubbleTree:
     def reachable_converging(self) -> np.ndarray:
         """Boolean matrix ``R[b, k]``: bubble ``b`` can reach the ``k``-th
         converging bubble (in ``converging_bubbles()`` order) by following
-        directed tree edges. Directed edges on a tree form a DAG, so a
-        memoized traversal in reverse topological order suffices (this
-        replaces the per-bubble BFS of Algorithm 4, same results).
+        directed tree edges (the per-bubble search of Algorithm 4).
+
+        Two passes over the rooted tree: deepest first, a parent whose edge
+        points down to ``b`` reaches all that ``b`` reaches below it; then
+        root first, ``b`` whose edge points up reaches all that its parent
+        reaches. A walk on a tree never returns through the edge it left
+        by, so these are all the walks.
         """
-        if self.down is None:
-            raise RuntimeError("call compute_directions first")
-        n_b = self.n_bubbles()
-        cvg = self.converging_bubbles()
-        idx = {int(b): k for k, b in enumerate(cvg)}
-        succ: List[List[int]] = [[] for _ in range(n_b)]
-        for b in range(n_b):
-            p = self.parent[b]
-            if p == -1:
-                continue
-            if self.down[b]:
-                succ[p].append(b)
-            else:
-                succ[b].append(p)
-        R = np.zeros((n_b, len(cvg)), dtype=bool)
-        for b, k in idx.items():
-            R[b, k] = True
-        # iterative post-order over the DAG
-        state = np.zeros(n_b, dtype=np.int8)  # 0 unvisited, 1 on stack, 2 done
-        for start in range(n_b):
-            if state[start] == 2:
-                continue
-            stack = [start]
-            while stack:
-                b = stack[-1]
-                if state[b] == 0:
-                    state[b] = 1
-                    for s in succ[b]:
-                        if state[s] == 0:
-                            stack.append(s)
-                else:
-                    stack.pop()
-                    if state[b] == 2:
-                        continue
-                    for s in succ[b]:
-                        R[b] |= R[s]
-                    state[b] = 2
+        cvg = self.converging_bubbles()  # raises before compute_directions
+        R = np.zeros((self.n_bubbles(), len(cvg)), dtype=bool)
+        R[cvg, np.arange(len(cvg))] = True
+        order = np.argsort(-self.depths(), kind="stable")  # deepest first
+        for b in order:
+            if self.down[b]:  # False at the root
+                R[self.parent[b]] |= R[b]
+        for b in order[::-1]:
+            if self.parent[b] != -1 and not self.down[b]:
+                R[b] |= R[self.parent[b]]
         return R

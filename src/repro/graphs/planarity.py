@@ -2,9 +2,11 @@
 
 The PMFG baseline (Tumminello et al., PNAS 2005) adds edges in
 decreasing-weight order, keeping an edge iff the graph stays planar, so it
-needs a planarity oracle. The environment has no networkx, so we implement
-the linear-time left-right algorithm from scratch (boolean answer only; no
-embedding is extracted).
+needs a planarity oracle. We implement the linear-time left-right
+algorithm from scratch (boolean answer only; no embedding is extracted).
+It stays in place of ``networkx.is_planar``: with networkx the PMFG of
+CBF-lite (n=124) and SonyAIBO-lite (n=98) took about twice as long, with
+the same edges (EXPERIMENTS.md, Planarity test).
 
 The recursion is implemented iteratively (explicit stacks) so graphs with
 DFS depth in the thousands do not hit Python's recursion limit.

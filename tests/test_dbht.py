@@ -22,6 +22,20 @@ def make_case(n, seed, prefix=1):
 CASES = [(8, 0, 1), (15, 1, 1), (30, 2, 4), (60, 3, 8)]
 
 
+def clustered_case(n, seed, prefix):
+    """TMFG of 4 latent-curve clusters: it has several converging bubbles,
+    so some vertices have more than one L-bar candidate (the random
+    ``make_case`` inputs have one converging bubble)."""
+    ds = latent_curve_dataset("clustered", n, 100, 4, noise=0.3, shared=0.2,
+                              outlier_frac=0.0, seed=seed)
+    S, D = correlation_matrices(ds.X)
+    return S, D, tmfg(S, prefix=prefix)
+
+
+LBAR_CASES = ([(make_case, *c) for c in CASES]
+              + [(clustered_case, 80, 0, 1), (clustered_case, 80, 1, 5)])
+
+
 class TestAssignments:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_groups_are_converging_bubbles(self, n, seed, prefix):
@@ -72,6 +86,36 @@ class TestAssignments:
                           for i in range(4) for j in range(i + 1, 4))
                 scores[b] = round(sum(S[u, v] for u in verts if u != v) / den, 12)
             assert scores[a.bubble[v]] == max(scores.values())
+
+    @pytest.mark.parametrize("build,n,seed,prefix", LBAR_CASES,
+                             ids=[f"{b.__name__}-{n}-{s}-{p}"
+                                  for b, n, s, p in LBAR_CASES])
+    def test_lbar_argmin_definition(self, build, n, seed, prefix):
+        """Vertices in no converging bubble (none took them in the chi
+        pass) get the candidate minimizing round(mean dist to V_b^0, 12),
+        ties to the smaller bubble id. The candidates are the converging
+        bubbles with non-empty V_b^0 that a bubble holding v reaches,
+        else all of those with non-empty V_b^0."""
+        S, D, t = build(n, seed, prefix)
+        dist = tmfg_apsp(D, t)
+        a = assign_vertices(S, t, dist)
+        tree = t.tree
+        cvg = [int(b) for b in a.converging]
+        mem = tree.vertex_memberships(n)
+        R = tree.reachable_converging()
+        chi_pass = {v for b in cvg for v in tree.bubbles[b]}
+        vb0 = {b: sorted(u for u in chi_pass if a.group[u] == b) for b in cvg}
+        nonempty = [b for b in cvg if vb0[b]]
+        contested = 0
+        for v in set(range(n)) - chi_pass:
+            reach = {cvg[k] for b in mem[v] for k in np.flatnonzero(R[b])}
+            cand = sorted(reach & set(nonempty)) or nonempty
+            lbar = {b: round(float(dist[vb0[b], v].mean()), 12) for b in cand}
+            best = min(lbar.values())
+            assert a.group[v] == min(b for b in cand if lbar[b] == best)
+            contested += len(cand) > 1
+        if build is clustered_case:
+            assert contested > 0
 
     def test_length1_series_raise(self):
         """S = I makes every bubble's chi' denominator 0 (the S of

@@ -1,12 +1,14 @@
 """DBHT Spark SQL scores, the reference for the driver's assignment:
-every aggregation is oracle-checked against DuckDB, and the driver's
-bubble assignment equals the argmax of the Spark SQL chi' scores."""
+every aggregation is oracle-checked against DuckDB, the driver's bubble
+assignment equals the argmax of the Spark SQL chi' scores, and its L-bar
+group decisions equal the argmin of the Spark SQL L-bar scores."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.dbht import assign_vertices, tmfg_apsp
 from repro.core.tmfg import tmfg
+from repro.datasets import correlation_matrices, latent_curve_dataset
 from repro.oracle import assert_equivalent
 from repro.spark.apsp_spark import apsp_df
 from repro.spark.dbht_spark import (bubble_denominators, chi_prime_scores,
@@ -133,16 +135,27 @@ class TestOracleSQL:
 
 
 class TestAssignmentEquivalence:
-    @pytest.mark.parametrize("seed,prefix", [(0, 1), (1, 4), (2, 10)])
-    def test_matches_driver(self, spark, seed, prefix):
+    @pytest.mark.parametrize("seed,prefix,clustered", [
+        (0, 1, False), (1, 4, False), (2, 10, False), (0, 1, True),
+    ], ids=["0-1", "1-4", "2-10", "clustered-0-1"])
+    def test_matches_driver(self, spark, seed, prefix, clustered):
         """Each vertex's driver bubble is its argmax over the Spark SQL
-        chi' rows, ties to the smaller bubble id."""
-        rng = np.random.default_rng(seed)
-        n = 50
-        S = rng.random((n, n))
-        S = (S + S.T) / 2
-        np.fill_diagonal(S, 1.0)
-        D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
+        chi' rows, and each vertex in no converging bubble has as its
+        driver group the argmin over the Spark SQL L-bar rows of its
+        candidates; ties to the smaller bubble id. The random inputs have
+        one converging bubble; the clustered one has several."""
+        if clustered:
+            ds = latent_curve_dataset("clustered", 80, 100, 4, noise=0.3,
+                                      shared=0.2, outlier_frac=0.0,
+                                      seed=seed)
+            S, D = correlation_matrices(ds.X)
+        else:
+            rng = np.random.default_rng(seed)
+            S = rng.random((50, 50))
+            S = (S + S.T) / 2
+            np.fill_diagonal(S, 1.0)
+            D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
+        n = len(S)
         t = tmfg(S, prefix=prefix)
         ref = assign_vertices(S, t, tmfg_apsp(D, t))
         chi2 = chi_prime_scores(membership_df(spark, t),
@@ -152,3 +165,30 @@ class TestAssignmentEquivalence:
                 .drop_duplicates("v"))
         assert np.array_equal(best["v"].to_numpy(), np.arange(n))
         assert np.array_equal(best["bubble"].to_numpy(), ref.bubble)
+
+        # L-bar candidates of the vertices the chi pass left unassigned
+        tree = t.tree
+        cvg = [int(b) for b in ref.converging]
+        chi_pass = {v for b in cvg for v in tree.bubbles[b]}
+        vb0 = [(int(ref.group[u]), u) for u in sorted(chi_pass)]
+        nonempty = sorted({b for b, _ in vb0})
+        mem = tree.vertex_memberships(n)
+        R = tree.reachable_converging()
+        fallback = sorted(set(range(n)) - chi_pass)
+        cand = []
+        for v in fallback:
+            reach = {cvg[k] for b in mem[v] for k in np.flatnonzero(R[b])}
+            cand += [(v, b) for b in sorted(reach & set(nonempty)) or nonempty]
+        if clustered:
+            assert len(cand) > len(fallback)  # some vertex has a choice
+        w = D[t.edges[:, 0], t.edges[:, 1]]
+        lbar = lbar_scores(
+            spark.createDataFrame(pd.DataFrame(cand, columns=["v", "bubble"]),
+                                  schema="v long, bubble long"),
+            spark.createDataFrame(pd.DataFrame(vb0, columns=["bubble", "u"]),
+                                  schema="bubble long, u long"),
+            apsp_df(spark, n, t.edges, w)).toPandas()
+        best = (lbar.sort_values(["v", "lbar", "bubble"])
+                .drop_duplicates("v"))
+        assert best["v"].tolist() == fallback
+        assert np.array_equal(best["bubble"].to_numpy(), ref.group[fallback])

@@ -5,6 +5,8 @@ computation, and general assignment formulas must reproduce the fast
 path exactly (chi differs only by the constant 1/6 normalization, which
 cannot change any argmax). This cross-validates both implementations.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,24 @@ class TestPMFGDBHT:
         res.dendrogram.validate()
         labels = res.dendrogram.cut_k(3)
         assert len(np.unique(labels)) == 3
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (15, 0,
+     "84436f69b9f84376f0428c592480785a8050a42711d703a5a5e414759d2420d0"),
+    (30, 1,
+     "85884b1ae01b70582b02e64726dabeb83891cb781835b03c7c4ee0e4a8b5cce2"),
+], ids=["15-0", "30-1"])
+def test_pinned_output(n, seed, expected):
+    """Bit identity of PMFG-DBHT: the ``TestPMFGDBHT`` inputs keep the
+    sha256 pinned here over the merges, groups and bubbles, so a change
+    to bubble detection, directions, reachability, assignment or the
+    hierarchy shows."""
+    S = rand_sim(n, seed)
+    D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
+    res = dbht_on_planar_graph(S, D, pmfg(S))
+    h = hashlib.sha256()
+    for part in (res.dendrogram.merges, res.assignments.group,
+                 res.assignments.bubble):
+        h.update(np.ascontiguousarray(part).tobytes())
+    assert h.hexdigest() == expected

@@ -83,19 +83,6 @@ class TestInvariants:
         D = random_dist(18, 9)
         assert np.array_equal(hac(D, "complete"), hac(D, "complete"))
 
-    def test_sizes_seed_average(self):
-        """Pre-sized clusters weight the average-linkage update."""
-        D = np.array([[0.0, 1.0, 5.0],
-                      [1.0, 0.0, 9.0],
-                      [5.0, 9.0, 0.0]])
-        sizes = np.array([3.0, 1.0, 1.0])
-        Z = hac(D, "average", sizes=sizes)
-        # first merge: items 0,1 at distance 1; then d(01, 2) =
-        # (3*5 + 1*9)/4 = 6
-        assert Z[0, 2] == pytest.approx(1.0)
-        assert Z[1, 2] == pytest.approx(6.0)
-        assert Z[1, 3] == pytest.approx(5.0)
-
 
 class TestPairwiseMax:
     def test_small(self):
