@@ -19,6 +19,10 @@ PMFG_BUDGET_S = 300.0
 
 def main(dataset_ids):
     spark = get_spark()
+    # warm up the JVM / Python workers so the first measured row isn't
+    # inflated by one-time startup costs
+    ds = load_ucr_lite(dataset_ids[0], seed=0)
+    run_par_tdbht(spark, ds, *prepare(ds), prefix=1)
     rows = []
     for did in dataset_ids:
         ds = load_ucr_lite(did, seed=0)

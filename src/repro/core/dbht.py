@@ -1,22 +1,30 @@
-"""Parallel DBHT for TMFG (Algorithm 4), on the driver in both pipelines.
+"""DBHT vertex assignment and hierarchy (Algorithm 4), on the driver in
+both pipelines and for the PMFG-DBHT baseline.
 
 Steps (Section V):
-  1. direct the bubble-tree edges (Algorithm 3, linear work);
+  1. direct the bubble-tree edges with the tree's ``compute_directions``
+     (Algorithm 3 on a TMFG tree, the quadratic method on a
+     ``PlanarBubbleTree``);
   2. find converging bubbles (out-degree 0) and, per bubble, the set of
      converging bubbles reachable along directed edges (two passes over
      the rooted tree, ``BubbleTree.reachable_converging``);
-  3. APSP over the TMFG under the dissimilarity weights;
+  3. APSP over the filtered graph under the dissimilarity weights;
   4. first-level assignment: every vertex gets a *group* (a converging
-     bubble) — by max attachment chi for vertices inside a converging
-     bubble, else by min mean shortest-path distance to the already
-     assigned vertices ``V_b^0``;
+     bubble) — by max attachment ``chi(v, b) = sum_{u in b} w(u, v) /
+     (3(|b|-2))`` for vertices inside a converging bubble, else by min
+     mean shortest-path distance to the already assigned vertices
+     ``V_b^0``;
   5. second-level assignment: every vertex gets a *bubble* by max
-     normalized attachment chi';
+     normalized attachment ``chi'(v, b) = sum_{u in b} w(u, v) /
+     sum_{u' < v' in b} w(u', v')``;
   6. hierarchy: complete linkage at three levels (intra-bubble subgroups,
      inter-bubble within a group, inter-group), with the Aste height
      assignment: heights ``[1/(n_b-1), ..., 1]`` inside each group, handed
      out as the group's linkages are built; above, the inter-group
      linkage's item counts (converging bubbles below each merge).
+
+These are the general formulas of Song, Di Matteo & Aste (2012) for
+bubbles of any size; a TMFG is the case where every bubble is a 4-clique.
 
 Tie-breaking: the paper's WRITEMAX/WRITEMIN on (score, bubble) pairs
 leaves ties platform-defined; we break all score ties toward the smaller
@@ -34,6 +42,7 @@ from repro.core.dendrogram import Dendrogram
 from repro.core.linkage import hac, pairwise_max_between
 from repro.core.tmfg import TMFGResult
 from repro.graphs import shortest_paths
+from repro.graphs.bubble_tree import BubbleTree
 
 
 @dataclass
@@ -60,38 +69,40 @@ def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
 
 
 # --------------------------------------------------- vertex assignment (4-23)
-def assign_vertices(S: np.ndarray, t: TMFGResult,
+def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
                     dist: np.ndarray) -> Assignments:
-    """Lines 4-23 of Algorithm 4: group and bubble assignment.
+    """Lines 4-23 of Algorithm 4: group and bubble assignment on any bubble
+    tree (a TMFG's, or a ``PlanarBubbleTree`` of a PMFG), directing its
+    edges with the tree's own ``compute_directions`` if not yet done.
 
-    A bubble whose chi' denominator (the sum of its 6 intra-bubble
+    A bubble whose chi' denominator (the sum of its intra-bubble
     similarities) is <= 0 raises ``ValueError``, because chi' would be NaN
     or have its argmax flipped (constant or length-1 series give such an
     ``S``).
     """
-    tree = t.tree
     if tree.down is None:
-        tree.compute_directions(S, t.edges)
-    n = t.n
-    bubbles = np.array(tree.bubbles)
-    denom = sum(S[bubbles[:, i], bubbles[:, j]]
-                for i in range(4) for j in range(i + 1, 4))
+        tree.compute_directions(S, edges)
+    n = S.shape[0]
+    denom = np.array([sum(S[verts[i], verts[j]] for i in range(len(verts))
+                          for j in range(i + 1, len(verts)))
+                      for verts in tree.bubbles])
     if (denom <= 0).any():
         raise ValueError("bubble similarity sums must be positive for chi'")
     cvg = tree.converging_bubbles()
     mem = tree.vertex_memberships(n)
 
-    # chi(v, b) = sum_{u in b} w(u, v); bubbles are 4-cliques so every u in
-    # the bubble is adjacent to v in the TMFG. Scores are rounded to 12
-    # decimals before comparison so the Spark SQL reference scores (whose
-    # SUM order is nondeterministic) give identical argmax decisions; ties
-    # go to the smallest bubble id (iteration over ``cvg`` is ascending).
+    # chi(v, b) = sum_{u in b} w(u, v) / (3(|b| - 2)): v's similarity to
+    # the rest of b over b's edge count (6 on a 4-clique). Scores are
+    # rounded to 12 decimals before comparison so the order of a sum cannot
+    # flip a decision; ties go to the smallest bubble id (iteration over
+    # ``cvg`` is ascending).
     group = np.full(n, -1, dtype=np.int64)
     best_chi = np.full(n, -np.inf)
     for b in cvg:
         verts = tree.bubbles[int(b)]
+        norm = 3.0 * (len(verts) - 2)
         for v in verts:
-            chi = round(sum(S[u, v] for u in verts if u != v), 12)
+            chi = round(sum(S[u, v] for u in verts if u != v) / norm, 12)
             if chi > best_chi[v]:
                 best_chi[v] = chi
                 group[v] = b
@@ -113,8 +124,10 @@ def assign_vertices(S: np.ndarray, t: TMFGResult,
         lbar = [round(float(dist[vb0[k], v].mean()), 12) for k in cand]
         group[v] = cvg[cand[int(np.argmin(lbar))]]
 
-    # Second level: bubble assignment by chi' for *all* vertices (per the
-    # paper's footnote, matching the reference implementation).
+    # Second level: bubble assignment by
+    # chi'(v, b) = sum_{u in b} w(u, v) / sum_{u' < v' in b} w(u', v')
+    # for *all* vertices (per the paper's footnote, matching the reference
+    # implementation).
     bubble = np.full(n, -1, dtype=np.int64)
     best_chi2 = np.full(n, -np.inf)
     for v in range(n):
@@ -189,6 +202,6 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
 def dbht(S: np.ndarray, D: np.ndarray, t: TMFGResult) -> DBHTResult:
     """Full DBHT on a TMFG: APSP, directions, assignments, hierarchy."""
     dist = tmfg_apsp(D, t)
-    assign = assign_vertices(S, t, dist)
+    assign = assign_vertices(S, t.tree, t.edges, dist)
     dendro = build_hierarchy(assign, dist)
     return DBHTResult(dendrogram=dendro, assignments=assign, apsp=dist)

@@ -1,20 +1,19 @@
-"""Generic (original-style) DBHT for arbitrary maximal planar graphs.
+"""Bubble detection for arbitrary maximal planar graphs (PMFG-DBHT).
 
-This is the *baseline* DBHT of Song et al. (2012), needed for the paper's
-PMFG-DBHT comparator: unlike ``repro.core.dbht`` (which exploits the TMFG
-construction to get the bubble tree for free), this module detects bubbles
-from scratch — enumerate all triangles, test each for being separating
-(does removing its 3 vertices disconnect the graph?), cut the graph along
-every separating triangle, and connect pieces sharing a triangle. The
-result is a :class:`PlanarBubbleTree`, a ``BubbleTree`` whose edge
-directions come from the original quadratic method (per-edge BFS of
-interior vs exterior weight); converging bubbles and reachability are the
-TMFG tree's. Assignments use the paper's general formulas, with chi
-normalized by ``3(|b| - 2)`` (the bubble's edge count) since PMFG bubbles
-need not be 4-cliques; the hierarchy is ``repro.core.dbht``'s.
+This is the bubble tree of the *baseline* DBHT of Song et al. (2012),
+needed for the paper's PMFG-DBHT comparator: unlike a TMFG, whose bubble
+tree comes free with the construction, a PMFG's bubbles are detected from
+scratch — enumerate all triangles, test each for being separating (does
+removing its 3 vertices disconnect the graph?), cut the graph along every
+separating triangle, and connect pieces sharing a triangle. The result is
+a :class:`PlanarBubbleTree`, a ``BubbleTree`` whose edge directions come
+from the original quadratic method (per-edge BFS of interior vs exterior
+weight); converging bubbles and reachability are the TMFG tree's, and the
+vertex assignment and hierarchy are ``repro.core.dbht``'s, whose general
+formulas take bubbles of any size.
 
-For TMFG inputs this entire machinery must reproduce the fast path's
-bubble tree and assignments exactly — a test cross-validates that.
+For TMFG inputs this path must reproduce the TMFG path's bubble tree and
+assignments exactly — a test cross-validates that.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dbht import Assignments, DBHTResult, build_hierarchy
+from repro.core.dbht import DBHTResult, assign_vertices, build_hierarchy
 from repro.graphs import shortest_paths
 from repro.graphs.bubble_tree import BubbleTree
 
@@ -170,72 +169,13 @@ def planar_bubble_tree(n: int, edges: np.ndarray) -> PlanarBubbleTree:
                             children=children, sep_triangle=sep, root=0)
 
 
-# --------------------------------------------------------------- assignments
-def assign_vertices_generic(S: np.ndarray, tree: PlanarBubbleTree,
-                            dist: np.ndarray) -> Assignments:
-    """The original assignment rules with general bubble sizes.
-
-    chi(v,b) = sum_{u in b} w(u,v) / (3(|b|-2));
-    chi'(v,b) = sum_{u in b} w(u,v) / sum_{u',v' in b} w(u',v').
-    """
-    if tree.down is None:
-        raise RuntimeError("call compute_directions first")
-    n = S.shape[0]
-    cvg = tree.converging_bubbles()
-    reach = tree.reachable_converging()
-    mem = tree.vertex_memberships(n)
-
-    group = np.full(n, -1, dtype=np.int64)
-    best_chi = np.full(n, -np.inf)
-    for b in cvg:
-        verts = tree.bubbles[int(b)]
-        norm = 3.0 * (len(verts) - 2)
-        for v in verts:
-            chi = round(sum(S[u, v] for u in verts if u != v) / norm, 12)
-            if chi > best_chi[v]:
-                best_chi[v] = chi
-                group[v] = b
-
-    vb0 = {int(b): np.flatnonzero(group == b) for b in cvg}
-    for v in np.flatnonzero(group == -1):
-        reachable = set()
-        for b in mem[v]:
-            reachable.update(int(cvg[k]) for k in np.flatnonzero(reach[b]))
-        candidates = [b for b in sorted(reachable) if len(vb0[b]) > 0]
-        if not candidates:
-            candidates = [int(b) for b in cvg if len(vb0[int(b)]) > 0]
-        best = None
-        for b in candidates:
-            lbar = round(float(dist[vb0[b], v].mean()), 12)
-            if best is None or lbar < best[0]:
-                best = (lbar, b)
-        group[v] = best[1]
-
-    bubble = np.full(n, -1, dtype=np.int64)
-    best_chi2 = np.full(n, -np.inf)
-    denom = np.empty(tree.n_bubbles())
-    for b in range(tree.n_bubbles()):
-        verts = tree.bubbles[b]
-        denom[b] = sum(S[verts[i], verts[j]] for i in range(len(verts))
-                       for j in range(i + 1, len(verts)))
-    for v in range(n):
-        for b in mem[v]:
-            verts = tree.bubbles[b]
-            chi2 = round(sum(S[u, v] for u in verts if u != v) / denom[b], 12)
-            if chi2 > best_chi2[v]:
-                best_chi2[v] = chi2
-                bubble[v] = b
-    return Assignments(group=group, bubble=bubble, converging=cvg)
-
-
 def dbht_on_planar_graph(S: np.ndarray, D: np.ndarray,
                          edges: np.ndarray) -> DBHTResult:
     """Full original-style DBHT on any maximal planar graph (PMFG-DBHT)."""
     n = S.shape[0]
     tree = planar_bubble_tree(n, edges)
-    tree.compute_directions(S, edges)
     w = D[edges[:, 0], edges[:, 1]]
     dist = shortest_paths.apsp(n, edges, w)
-    assign = assign_vertices_generic(S, tree, dist)
+    assign = assign_vertices(S, tree, edges, dist)
     dendro = build_hierarchy(assign, dist)
     return DBHTResult(dendrogram=dendro, assignments=assign, apsp=dist)

@@ -88,12 +88,12 @@ def pairwise_max_between(D: np.ndarray, groups: List[np.ndarray]) -> np.ndarray:
     Used by DBHT's inter-bubble and inter-group levels, where the distance
     between two sets is ``max l_D(u, v)`` over cross pairs.
     """
-    k = len(groups)
-    M = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i, j] = M[j, i] = D[np.ix_(groups[i], groups[j])].max()
-    return M
+    # two O(k) reductions: R[i] = max over the rows of group i, then
+    # M[i, j] = max of R[i] over the columns of group j; the upper triangle
+    # is mirrored, as shortest-path sums need not be bit-symmetric
+    R = np.stack([D[g].max(axis=0) for g in groups])
+    M = np.triu(np.stack([R[:, g].max(axis=1) for g in groups], axis=1), 1)
+    return M + M.T
 
 
 def greedy_hac_reference(D: np.ndarray, method: str = "complete") -> np.ndarray:

@@ -11,7 +11,9 @@ The scores are genuine Catalyst join/aggregate plans:
 
 * ``chi(v, b)   = SUM w(u, v)  over u in bubble b``  — membership
   self-join + join with the similarity relation + groupBy-sum (Lines
-  8-11);
+  8-11); this is the raw sum, which the driver divides by the bubble's
+  edge count ``3(|b|-2)`` (6 on every TMFG bubble), and the numerator of
+  chi';
 * ``L-bar(v, b) = AVG l_D(u, v) over u in V_b^0``    — candidate (vertex,
   converging-bubble) pairs joined with the assigned-vertices relation and
   the APSP rows, exploded into (src, dst, dist) pairs (Lines 14-17);

@@ -60,7 +60,8 @@ def _dbht_steps(S: np.ndarray, t: TMFGResult, dist: np.ndarray,
                 times: Dict[str, float]) -> TimedRun:
     """The steps after APSP, the same in both pipelines: vertex assignment
     and hierarchy on the driver."""
-    assign = _timed(times, "bubble-tree", assign_vertices, S, t, dist)
+    assign = _timed(times, "bubble-tree", assign_vertices, S, t.tree, t.edges,
+                    dist)
     dendro = _timed(times, "hierarchy", build_hierarchy, assign, dist)
     return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
                                               assignments=assign, apsp=dist),

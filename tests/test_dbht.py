@@ -4,22 +4,51 @@ import numpy as np
 import pytest
 
 from repro.core.dbht import assign_vertices, dbht, tmfg_apsp
+from repro.core.generic_dbht import planar_bubble_tree
 from repro.core.metrics import ari
+from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
 from repro.datasets import correlation_matrices, latent_curve_dataset
+from repro.graphs import shortest_paths
+from repro.graphs.bubble_tree import BubbleTree
 
 
-def make_case(n, seed, prefix=1):
+def rand_sim(n, seed):
     rng = np.random.default_rng(seed)
     S = rng.random((n, n))
     S = (S + S.T) / 2
     np.fill_diagonal(S, 1.0)
-    D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
-    t = tmfg(S, prefix=prefix)
-    return S, D, t
+    return S, np.sqrt(2 * (1 - np.clip(S, -1, 1)))
+
+
+def make_case(n, seed, prefix=1):
+    S, D = rand_sim(n, seed)
+    return S, D, tmfg(S, prefix=prefix)
 
 
 CASES = [(8, 0, 1), (15, 1, 1), (30, 2, 4), (60, 3, 8)]
+
+
+def tree_case(graph, n, seed, prefix):
+    """``assign_vertices`` inputs on the TMFG of a random ``S``, or on the
+    bubble tree detected in its PMFG (bubbles of more than 4 vertices)."""
+    S, D = rand_sim(n, seed)
+    if graph == "tmfg":
+        t = tmfg(S, prefix=prefix)
+        tree, edges = t.tree, t.edges
+    else:
+        edges = pmfg(S)
+        tree = planar_bubble_tree(n, edges)
+        assert max(len(b) for b in tree.bubbles) > 4
+    dist = shortest_paths.apsp(n, edges, D[edges[:, 0], edges[:, 1]])
+    return S, tree, edges, dist
+
+
+# the PMFG inputs are those of test_generic_dbht.py::TestPMFGDBHT
+TREE_CASES = ([("tmfg", *c) for c in CASES]
+              + [("pmfg", 15, 0, None), ("pmfg", 30, 1, None)])
+TREE_IDS = ([f"{n}-{s}-{p}" for n, s, p in CASES]
+            + ["pmfg-15-0", "pmfg-30-1"])
 
 
 def clustered_case(n, seed, prefix):
@@ -41,7 +70,7 @@ class TestAssignments:
     def test_groups_are_converging_bubbles(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
         dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
+        a = assign_vertices(S, t.tree, t.edges, dist)
         cvg = set(int(b) for b in a.converging)
         assert set(np.unique(a.group)) <= cvg
         assert np.all(a.group >= 0)
@@ -50,40 +79,62 @@ class TestAssignments:
     def test_bubble_contains_vertex(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
         dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
+        a = assign_vertices(S, t.tree, t.edges, dist)
         for v in range(n):
             assert v in t.tree.bubbles[a.bubble[v]]
 
-    @pytest.mark.parametrize("n,seed,prefix", CASES)
-    def test_chi_argmax_definition(self, n, seed, prefix):
+    @pytest.mark.parametrize("graph,n,seed,prefix", TREE_CASES, ids=TREE_IDS)
+    def test_chi_argmax_definition(self, graph, n, seed, prefix):
         """Vertices inside converging bubbles must pick the converging
-        bubble maximizing chi(v,b) = sum_{u in b} S[u,v]."""
-        S, D, t = make_case(n, seed, prefix)
-        dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
+        bubble maximizing chi(v,b) = sum_{u in b} S[u,v] / (3(|b|-2)),
+        rounded to 12 decimals."""
+        S, tree, edges, dist = tree_case(graph, n, seed, prefix)
+        a = assign_vertices(S, tree, edges, dist)
         cvg = [int(b) for b in a.converging]
-        mem = t.tree.vertex_memberships(n)
+        mem = tree.vertex_memberships(n)
         for v in range(n):
             in_cvg = [b for b in mem[v] if b in cvg]
             if not in_cvg:
                 continue
-            chis = {b: round(sum(S[u, v] for u in t.tree.bubbles[b] if u != v), 12)
-                    for b in in_cvg}
+            chis = {}
+            for b in in_cvg:
+                verts = tree.bubbles[b]
+                chis[b] = round(sum(S[u, v] for u in verts if u != v)
+                                / (3 * (len(verts) - 2)), 12)
             best = max(chis.values())
             assert chis[a.group[v]] == best
 
-    @pytest.mark.parametrize("n,seed,prefix", CASES)
-    def test_chi_prime_argmax_definition(self, n, seed, prefix):
-        S, D, t = make_case(n, seed, prefix)
-        dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
-        mem = t.tree.vertex_memberships(n)
+    def test_chi_normalized_by_edge_count(self):
+        """Vertices 0 and 1 lie in converging bubbles of 5 and 4 vertices
+        at equal similarities 0.5: the raw sum favours the larger bubble
+        (2.0 > 1.5), chi's division by 3(|b|-2) the smaller (2/9 < 1.5/6)."""
+        S = np.full((7, 7), 0.5)
+        np.fill_diagonal(S, 1.0)
+        tree = BubbleTree(
+            bubbles=[(0, 1, 2, 3), (0, 1, 2, 4, 5), (0, 1, 3, 6)],
+            parent=[-1, 0, 0], children=[[1, 2], [], []],
+            sep_triangle=[None, (0, 1, 2), (0, 1, 3)], root=0,
+            down=np.array([False, True, True]))
+        a = assign_vertices(S, tree, np.empty((0, 2), dtype=np.int64),
+                            np.zeros((7, 7)))
+        assert a.converging.tolist() == [1, 2]
+        assert a.group.tolist() == [2, 2, 1, 2, 1, 1, 2]
+
+    @pytest.mark.parametrize("graph,n,seed,prefix", TREE_CASES, ids=TREE_IDS)
+    def test_chi_prime_argmax_definition(self, graph, n, seed, prefix):
+        """Every vertex picks the bubble maximizing chi'(v,b) =
+        sum_{u in b} S[u,v] / sum_{u' < v' in b} S[u',v'], rounded to 12
+        decimals."""
+        S, tree, edges, dist = tree_case(graph, n, seed, prefix)
+        a = assign_vertices(S, tree, edges, dist)
+        mem = tree.vertex_memberships(n)
         for v in range(n):
             scores = {}
             for b in mem[v]:
-                verts = t.tree.bubbles[b]
+                verts = tree.bubbles[b]
+                k = len(verts)
                 den = sum(S[verts[i], verts[j]]
-                          for i in range(4) for j in range(i + 1, 4))
+                          for i in range(k) for j in range(i + 1, k))
                 scores[b] = round(sum(S[u, v] for u in verts if u != v) / den, 12)
             assert scores[a.bubble[v]] == max(scores.values())
 
@@ -98,7 +149,7 @@ class TestAssignments:
         else all of those with non-empty V_b^0."""
         S, D, t = build(n, seed, prefix)
         dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t, dist)
+        a = assign_vertices(S, t.tree, t.edges, dist)
         tree = t.tree
         cvg = [int(b) for b in a.converging]
         mem = tree.vertex_memberships(n)
@@ -124,13 +175,13 @@ class TestAssignments:
         D = np.sqrt(2.0 * (1.0 - S))
         t = tmfg(S)
         with pytest.raises(ValueError, match="chi'"):
-            assign_vertices(S, t, tmfg_apsp(D, t))
+            assign_vertices(S, t.tree, t.edges, tmfg_apsp(D, t))
 
     def test_deterministic(self):
         S, D, t = make_case(40, 4, 5)
         dist = tmfg_apsp(D, t)
-        a1 = assign_vertices(S, t, dist)
-        a2 = assign_vertices(S, t, dist)
+        a1 = assign_vertices(S, t.tree, t.edges, dist)
+        a2 = assign_vertices(S, t.tree, t.edges, dist)
         assert np.array_equal(a1.group, a2.group)
         assert np.array_equal(a1.bubble, a2.bubble)
 

@@ -157,7 +157,7 @@ class TestAssignmentEquivalence:
             D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
         n = len(S)
         t = tmfg(S, prefix=prefix)
-        ref = assign_vertices(S, t, tmfg_apsp(D, t))
+        ref = assign_vertices(S, t.tree, t.edges, tmfg_apsp(D, t))
         chi2 = chi_prime_scores(membership_df(spark, t),
                                 sim_df_from_matrix(spark, S)).toPandas()
         best = (chi2.sort_values(["v", "chi2", "bubble"],

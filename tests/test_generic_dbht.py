@@ -1,9 +1,10 @@
-"""Generic (original-style) DBHT vs the TMFG-optimized fast path.
+"""Generic (original-style) DBHT vs the TMFG path.
 
-On TMFG inputs the from-scratch bubble detection, quadratic direction
-computation, and general assignment formulas must reproduce the fast
-path exactly (chi differs only by the constant 1/6 normalization, which
-cannot change any argmax). This cross-validates both implementations.
+On TMFG inputs the from-scratch bubble detection and quadratic direction
+computation must reproduce the TMFG's incremental bubble tree and its
+Algorithm 3 directions exactly: both paths then run the one
+``repro.core.dbht.assign_vertices``, whose general chi and chi' formulas
+take bubbles of any size, so their assignments and hierarchies agree.
 """
 import hashlib
 
@@ -126,6 +127,14 @@ class TestPMFGDBHT:
         res.dendrogram.validate()
         labels = res.dendrogram.cut_k(3)
         assert len(np.unique(labels)) == 3
+
+    def test_zero_similarity_raise(self):
+        """S = I makes every bubble's chi' denominator 0 (the S of
+        length-1 series): no vertex may be left without a bubble."""
+        S = np.eye(10)
+        D = np.sqrt(2.0 * (1.0 - S))
+        with pytest.raises(ValueError, match="chi'"):
+            dbht_on_planar_graph(S, D, pmfg(S))
 
 
 @pytest.mark.parametrize("n,seed,expected", [

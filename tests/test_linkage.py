@@ -107,3 +107,25 @@ class TestPairwiseMax:
         # final merge distance must be the global max cross-group distance
         # of the last two clusters formed; sanity: <= overall max
         assert Z[:, 2].max() <= D.max() + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_pair_max(self, seed):
+        """Random unsorted groups, singletons among them, on an asymmetric
+        D: entry (i, j), i < j, is the max of D over rows of group i and
+        columns of group j, mirrored below the diagonal."""
+        rng = np.random.default_rng(seed)
+        m = 40
+        D = rng.random((m, m))
+        np.fill_diagonal(D, 0.0)
+        # the first three groups are singletons
+        cuts = np.concatenate([[1, 2, 3], np.sort(
+            rng.choice(np.arange(4, m), size=9, replace=False))])
+        groups = np.split(rng.permutation(m), cuts)
+        M = pairwise_max_between(D, groups)
+        k = len(groups)
+        ref = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                ref[i, j] = ref[j, i] = max(D[u, v] for u in groups[i]
+                                            for v in groups[j])
+        assert np.array_equal(M, ref)
