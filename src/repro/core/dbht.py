@@ -33,6 +33,7 @@ DuckDB-checked reference that tests compare these decisions against.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -83,9 +84,17 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
     if tree.down is None:
         tree.compute_directions(S, edges)
     n = S.shape[0]
-    denom = np.array([sum(S[verts[i], verts[j]] for i in range(len(verts))
-                          for j in range(i + 1, len(verts)))
-                      for verts in tree.bubbles])
+    # chi' denominators, one (bubbles, k) stack per bubble size k: the
+    # pairs i < j are added in row-major order, as a left-to-right sum.
+    sizes = np.array([len(verts) for verts in tree.bubbles])
+    denom = np.empty(len(sizes))
+    for k in np.unique(sizes):
+        ids = np.flatnonzero(sizes == k)
+        V = np.array([tree.bubbles[b] for b in ids])
+        d = np.zeros(len(ids))
+        for i, j in itertools.combinations(range(k), 2):
+            d += S[V[:, i], V[:, j]]
+        denom[ids] = d
     if (denom <= 0).any():
         raise ValueError("bubble similarity sums must be positive for chi'")
     cvg = tree.converging_bubbles()

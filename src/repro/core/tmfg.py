@@ -9,12 +9,21 @@ The bubble tree (Algorithm 2) is built during construction.
 GAINS lives on the driver, next to the topology, as per-face arrays
 indexed by face id: the corners ``tri``, the best remaining vertex
 ``best_v``, its ``gain`` and an ``alive`` mask (fewer than 3n faces are
-ever created). The only O(n)-per-face work, re-scoring the new faces and
-the faces whose best vertex was just inserted (Lines 15-16), is one
-blocked numpy pass per round. Both pipelines build the TMFG here, on the
-driver: a Spark round costs about 0.3 s of job latency while a whole
-driver TMFG takes 0.03-0.7 s on the data sets here (EXPERIMENTS.md, TMFG
-placement). All ties break toward smaller vertex/face ids.
+ever created). Each round does only the work of Lines 9-16:
+
+- re-scoring the new faces and the faces whose best vertex was just
+  inserted is one blocked numpy pass over the *scored columns*, a copy of
+  ``S`` restricted to the vertices not yet inserted (inserted columns are
+  set to ``-inf`` and dropped once fewer than half are live, so the
+  copying totals O(n^2));
+- the selection partitions the live gains around the ``prefix``-th
+  largest and orders only the ``prefix`` faces at or above that cut, so
+  no round sorts every live face.
+
+Both pipelines build the TMFG here, on the driver: a Spark round costs
+about 0.3 s of job latency while a whole driver TMFG takes 0.13-0.20 s
+on Crop-lite (n=1294) at prefix 1 (EXPERIMENTS.md, TMFG placement and
+TMFG engine). All ties break toward smaller vertex/face ids.
 """
 from __future__ import annotations
 
@@ -50,6 +59,13 @@ class TMFGResult:
         return float(S[self.edges[:, 0], self.edges[:, 1]].sum())
 
 
+# Entries per block of the symmetry check and of the face scorer: bounds
+# the temporaries when a round re-scores thousands of faces (late rounds,
+# large prefixes).
+_CHECK_BLOCK = 1 << 20
+_SCORE_BLOCK = 1 << 17
+
+
 def _check_similarity(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
@@ -59,34 +75,35 @@ def _check_similarity(S: np.ndarray) -> np.ndarray:
         raise ValueError("TMFG needs at least 4 vertices")
     if not np.isfinite(S).all():
         raise ValueError("S must be finite")
-    if not np.allclose(S, S.T, atol=1e-8):
-        raise ValueError("S must be symmetric")
+    # np.allclose(S, S.T, atol=1e-8)'s test, one block of rows at a time,
+    # so no n x n temporary is built.
+    step = max(1, _CHECK_BLOCK // n)
+    for lo in range(0, n, step):
+        a, b = S[lo:lo + step], S[:, lo:lo + step].T
+        if not (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all():
+            raise ValueError("S must be symmetric")
     return S
 
 
-# Gain entries scored per block: bounds the (faces, n) temporaries when a
-# round re-scores thousands of faces (late rounds, large prefixes).
-_SCORE_BLOCK = 1 << 17
-
-
-def _score(S: np.ndarray, faces: np.ndarray,
-           remaining: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _score(Sc: np.ndarray, faces: np.ndarray,
+           cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Best remaining vertex per face row and its gain (ties: smallest id).
 
-    The gain row is ``S[a] + S[b] + S[c]`` over the sorted corners, summed
-    left to right.
+    ``Sc`` holds the columns ``cols`` (ascending vertex ids) of ``S``, with
+    the inserted vertices' columns at ``-inf``. The gain row is
+    ``Sc[a] + Sc[b] + Sc[c]`` over the sorted corners, summed left to
+    right, so each gain is the same float as over all of ``S``.
     """
     best = np.empty(len(faces), dtype=np.int64)
     gain = np.empty(len(faces))
-    step = max(1, _SCORE_BLOCK // len(S))
+    step = max(1, _SCORE_BLOCK // Sc.shape[1])
     for lo in range(0, len(faces), step):
         f = faces[lo:lo + step]
-        g = S[f[:, 0]]
-        g += S[f[:, 1]]
-        g += S[f[:, 2]]
-        g = np.where(remaining, g, -np.inf)
+        g = Sc[f[:, 0]]
+        g += Sc[f[:, 1]]
+        g += Sc[f[:, 2]]
         b = g.argmax(axis=1)  # first occurrence of the max -> smallest id
-        best[lo:lo + len(f)] = b
+        best[lo:lo + len(f)] = cols[b]
         gain[lo:lo + len(f)] = g[np.arange(len(f)), b]
     return best, gain
 
@@ -98,9 +115,23 @@ def select_batch(best_v: np.ndarray, gain: np.ndarray, alive: np.ndarray,
     vertex conflicts by keeping each vertex's highest-gain face. Returns
     ``(vertex, face_id)`` pairs sorted by face id. Ties break toward
     smaller face ids everywhere.
+
+    Live gains must be finite, as ``tmfg``'s are. Only the faces above the
+    ``prefix``-th largest live gain, and the smallest-id faces equal to
+    it, are ordered by ``(-gain, face id)``.
     """
-    fid = np.flatnonzero(alive)
-    top = fid[np.lexsort((fid, -gain[fid]))[:prefix]]
+    k = min(prefix, int(np.count_nonzero(alive)))
+    if k == 0:
+        return []
+    g = np.where(alive, gain, -np.inf)
+    if k == 1:
+        top = np.array([g.argmax()])  # first occurrence -> smallest face id
+    else:
+        cut = np.partition(g, len(g) - k)[len(g) - k]
+        above = np.flatnonzero(g > cut)
+        at_cut = np.flatnonzero(g == cut)[:k - len(above)]
+        top = np.concatenate((above, at_cut))
+        top = top[np.lexsort((top, -g[top]))]
     _, first = np.unique(best_v[top], return_index=True)
     keep = np.sort(top[first])
     return list(zip(best_v[keep].tolist(), keep.tolist()))
@@ -130,6 +161,9 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
     n_faces = 4
     remaining = np.ones(n, dtype=bool)
     remaining[seed] = False
+    # The scored columns: a copy, so the caller's S is never written.
+    cols = np.flatnonzero(remaining)
+    Sc = S.take(cols, axis=1)  # C-ordered, unlike S[:, cols]
     # Lines 6-7: bubble tree seeded with the clique; face 0 is the outer face.
     tree = BubbleTree.initial(seed, [0, 1, 2, 3], outer_face=0)
     insertions: List[Tuple[int, Triangle]] = []
@@ -137,11 +171,12 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
     rescore = np.arange(4)  # Line 5: the initial GAINS
     # Lines 8-17: insert remaining vertices in batches of up to ``prefix``.
     while remaining.any():
-        best_v[rescore], gain[rescore] = _score(S, tri[rescore], remaining)
+        best_v[rescore], gain[rescore] = _score(Sc, tri[rescore], cols)
         rounds += 1
         batch = select_batch(best_v, gain, alive, prefix)
         inserted = [v for v, _ in batch]
         remaining[inserted] = False
+        Sc[:, np.searchsorted(cols, inserted)] = -np.inf
         first_new = n_faces
         for v, fid in batch:  # face ids are distinct; order is deterministic
             vx, vy, vz = tri[fid].tolist()
@@ -155,10 +190,15 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
             tree.insert(v, fid, (vx, vy, vz), created)
             insertions.append((v, (vx, vy, vz)))
         alive[[fid for _, fid in batch]] = False
+        # Every older live face was scored while its best vertex remained,
+        # so it is stale exactly when that vertex went in this round.
         stale = np.flatnonzero(alive[:first_new]
-                               & np.isin(best_v[:first_new], inserted))
+                               & ~remaining[best_v[:first_new]])
         alive[first_new:n_faces] = True
         rescore = np.concatenate((stale, np.arange(first_new, n_faces)))
+        if 2 * (n - 4 - len(insertions)) < len(cols):
+            keep = np.flatnonzero(remaining[cols])
+            cols, Sc = cols[keep], Sc.take(keep, axis=1)
     edge_arr = np.array(sorted(set(edges)), dtype=np.int64)
     assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
     return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.core.tmfg as tmfg_module
 from repro.core.tmfg import select_batch, tmfg
 from repro.graphs.planarity import is_planar
 
@@ -46,9 +47,11 @@ class TestStructure:
     @pytest.mark.parametrize("prefix", [1, 2, 7])
     def test_deterministic(self, prefix):
         S = rand_sim(30, 3)
+        S0 = S.copy()
         t1, t2 = tmfg(S, prefix), tmfg(S, prefix)
         assert np.array_equal(t1.edges, t2.edges)
         assert t1.insertions == t2.insertions
+        assert np.array_equal(S, S0)  # the caller's S is never written
 
     def test_insertion_count(self):
         n = 40
@@ -79,6 +82,31 @@ class TestStructure:
             S[1, 2] = S[2, 1] = bad
             with pytest.raises(ValueError, match="S must be finite"):
                 tmfg(S)
+
+
+@pytest.mark.parametrize("n", [5, 37, 300])
+def test_symmetry_check_matches_allclose(n, monkeypatch):
+    """The blocked symmetry check raises exactly when
+    ``np.allclose(S, S.T, atol=1e-8)`` fails, for one entry pair pushed
+    just inside or just outside ``1e-8 + 1e-5 * |S|``; small row blocks
+    make the larger cases span many of them."""
+    monkeypatch.setattr(tmfg_module, "_CHECK_BLOCK", 1000)
+    rng = np.random.default_rng(n)
+    for case in range(12):
+        S = rand_sim(n, case) * rng.choice([1.0, 1e-4, 1e4])
+        i, j = rng.choice(n, 2, replace=False)
+        tol = 1e-8 + 1e-5 * abs(S[j, i])
+        S[i, j] = S[j, i] + rng.choice([-1, 1]) * rng.choice(
+            [0.5, 0.999999, 1.000001, 2.0]) * tol
+        if np.allclose(S, S.T, atol=1e-8):
+            tmfg(S, prefix=n)
+        else:
+            with pytest.raises(ValueError, match="S must be symmetric"):
+                tmfg(S, prefix=n)
+    S = rand_sim(n, 0)
+    S[n - 1, 0] = np.nan
+    with pytest.raises(ValueError, match="S must be finite"):
+        tmfg(S)
 
 
 class TestGreedySemantics:
@@ -126,6 +154,17 @@ class TestGreedySemantics:
         assert t.rounds <= 8
 
 
+def select_batch_reference(best_v, gain, alive, prefix):
+    """``select_batch`` by a full sort: lexsort every live face by
+    (-gain, face id), take the first ``prefix``, keep each vertex's first
+    face."""
+    fid = np.flatnonzero(alive)
+    top = fid[np.lexsort((fid, -gain[fid]))[:prefix]]
+    _, first = np.unique(best_v[top], return_index=True)
+    keep = np.sort(top[first])
+    return list(zip(best_v[keep].tolist(), keep.tolist()))
+
+
 def gains_arrays(gains):
     """GAINS arrays indexed by face id from ``{face_id: (vertex, gain)}``;
     faces not listed are dead."""
@@ -159,6 +198,22 @@ class TestSelectBatch:
         gains = gains_arrays({5: (1, 2.0), 2: (3, 2.0), 9: (4, 2.0)})
         batch = select_batch(*gains, 2)
         assert {fid for _, fid in batch} == {2, 5}
+
+    @pytest.mark.parametrize("prefix", [1, 2, 7, 1000])
+    def test_matches_sorted_reference(self, prefix):
+        """Randomized against a full (-gain, face id) sort of the live
+        faces: heavy gain ties, vertex conflicts, dead faces that carry
+        the largest gain, and no live face at all."""
+        rng = np.random.default_rng(prefix)
+        for case in range(300):
+            size = int(rng.integers(1, 60))
+            values = rng.normal(size=int(rng.integers(2, 4)))
+            gain = rng.choice(values, size)
+            best_v = rng.integers(0, max(1, size // 3), size)
+            alive = rng.random(size) < rng.choice([0.0, 0.3, 0.8, 1.0])
+            gain[~alive & (rng.random(size) < 0.5)] = values.max() + 1.0
+            assert (select_batch(best_v, gain, alive, prefix)
+                    == select_batch_reference(best_v, gain, alive, prefix)), case
 
 
 def tmfg_digest(t):
