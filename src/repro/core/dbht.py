@@ -27,9 +27,9 @@ These are the general formulas of Song, Di Matteo & Aste (2012) for
 bubbles of any size; a TMFG is the case where every bubble is a 4-clique.
 
 Tie-breaking: the paper's WRITEMAX/WRITEMIN on (score, bubble) pairs
-leaves ties platform-defined; we break all score ties toward the smaller
-bubble id. The Spark SQL scores of ``repro.spark.dbht_spark`` are the
-DuckDB-checked reference that tests compare these decisions against.
+leaves ties platform-defined. We round every chi, chi' and L-bar score to
+12 decimals, so the order of a sum cannot flip a decision, and break the
+remaining ties toward the smaller bubble id.
 """
 from __future__ import annotations
 

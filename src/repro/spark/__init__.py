@@ -2,8 +2,6 @@
 
 ``pipeline`` is PAR-TDBHT, whose one Spark stage is the APSP of
 ``apsp_spark`` (tested bit-identical to the driver kernel of
-``repro.graphs.shortest_paths``). ``dbht_spark`` and ``similarity`` are
-the Spark SQL reference plans of the DBHT scores, each checked against
-DuckDB via ``repro.oracle.assert_equivalent``. The TMFG, the correlation,
-vertex assignment and the hierarchy run on the driver in both pipelines.
+``repro.graphs.shortest_paths``). The TMFG, the correlation, vertex
+assignment and the hierarchy run on the driver in both pipelines.
 """

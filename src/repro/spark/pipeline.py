@@ -12,9 +12,7 @@ Every other step is the same driver code in both. The TMFG is
 ``repro.core.tmfg.tmfg``: a Spark round costs more job latency than a
 whole driver TMFG (EXPERIMENTS.md, TMFG placement). Vertex assignment and
 the three-level linkage (Algorithm 4) are ``repro.core.dbht``: their Spark
-versions lost at every size measured (EXPERIMENTS.md, DBHT placement), so
-the Spark SQL scores of ``repro.spark.dbht_spark`` are only the
-DuckDB-checked reference for the driver's decisions.
+versions lost at every size measured (EXPERIMENTS.md, DBHT placement).
 
 ``partitions`` throttles available parallelism (tasks <= partitions in
 local mode), standing in for the paper's thread-count knob in the

@@ -29,9 +29,91 @@ def make_case(n, seed, prefix=1):
 CASES = [(8, 0, 1), (15, 1, 1), (30, 2, 4), (60, 3, 8)]
 
 
+def sym(n, diag, off, entries):
+    """Symmetric (n, n) matrix: ``diag`` on the diagonal, ``entries``
+    ({(i, j): value}) at both orientations, ``off`` elsewhere."""
+    M = np.full((n, n), off)
+    np.fill_diagonal(M, diag)
+    for (i, j), w in entries.items():
+        M[i, j] = M[j, i] = w
+    return M
+
+
+def tie_case(name):
+    """``assign_vertices`` inputs on a 7-vertex TMFG-shaped tree. Root
+    bubble 0 = (0,1,2,3) points down to the converging bubbles
+    1 = (0,1,2,4) and 2 = (0,1,3,5); bubble 3 = (0,2,3,6) points up to
+    it, so vertex 6 is left to L-bar with candidates 1 and 2. Vertex 0's
+    chi in bubbles 1 and 2, its chi' in bubbles 1 and 2, and vertex 6's
+    L-bar to groups 1 and 2 are:
+
+    * ``ties``: equal (all similarities 0.5, all distances 1);
+    * ``rounding``: equal up to summation order, so they tie only after
+      rounding to 12 decimals: chi sums 0.2+0.3+0.1 = 0.6 in bubble 1 and
+      0.2+0.1+0.3 = 0.6000000000000001 in bubble 2, chi' is 0.5 against
+      0.5000000000000001, and L-bar averages 0.2, 0.1, 0.3 over
+      V^0 = {0,2,4} and 0.2, 0.3, 0.1 over {1,3,5}. Unrounded, each
+      decision would go to the other bubble;
+    * ``near-ties``: ``ties`` with S[0,5] raised by 6e-9 and dist[5,6]
+      lowered by 3e-9, so bubble 2 wins each by about 1e-9, which a
+      coarser rounding would call a tie.
+    """
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6)],
+        parent=[-1, 0, 0, 0], children=[[1, 2, 3], [], [], []],
+        sep_triangle=[None, (0, 1, 2), (0, 1, 3), (0, 2, 3)], root=0,
+        down=np.array([False, True, True, False]))
+    if name == "rounding":
+        S = sym(7, 1.0, 0.0, {
+            (0, 1): 0.2, (0, 2): 0.3, (0, 4): 0.1, (0, 3): 0.1, (0, 5): 0.3,
+            (1, 2): 0.1, (1, 4): 0.1, (2, 4): 0.4,
+            (1, 3): 0.2, (1, 5): 0.2, (3, 5): 0.2,
+            (0, 6): 0.1, (2, 3): 0.9, (2, 6): 0.5, (3, 6): 0.5})
+        dist = sym(7, 0.0, 1.0, {(0, 6): 0.2, (2, 6): 0.1, (4, 6): 0.3,
+                                 (1, 6): 0.2, (3, 6): 0.3, (5, 6): 0.1})
+    else:
+        gap = 1e-9 if name == "near-ties" else 0.0
+        S = sym(7, 1.0, 0.5, {(0, 5): 0.5 + 6 * gap})
+        dist = sym(7, 0.0, 1.0, {(5, 6): 1.0 - 3 * gap})
+    return S, tree, np.empty((0, 2), dtype=np.int64), dist
+
+
+def fallback_case():
+    """``assign_vertices`` inputs on a 9-vertex TMFG-shaped tree whose
+    converging root bubble 0 = (0,1,2,3) gets no vertex in the chi pass:
+    vertices 0, 1 go to bubble 4 = (0,1,4,7) and 2, 3 to bubble
+    5 = (2,3,5,8), where their similarities are 0.9 rather than 0.5.
+    Vertex 6, only in bubble 3 = (1,2,3,6), reaches just the root, so its
+    L-bar candidates fall back to bubbles 4 and 5; it is nearer to 5."""
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 2, 3, 5), (1, 2, 3, 6),
+                 (0, 1, 4, 7), (2, 3, 5, 8)],
+        parent=[-1, 0, 0, 0, 1, 2], children=[[1, 2, 3], [4], [5], [], [], []],
+        sep_triangle=[None, (0, 1, 2), (0, 2, 3), (1, 2, 3), (0, 1, 4),
+                      (2, 3, 5)], root=0,
+        down=np.array([False, False, False, False, True, True]))
+    S = sym(9, 1.0, 0.5, {e: 0.9 for e in [(0, 4), (0, 7), (1, 4), (1, 7),
+                                           (2, 5), (2, 8), (3, 5), (3, 8)]})
+    dist = sym(9, 0.0, 2.0, {(u, 6): 1.0 for u in (2, 3, 5, 8)})
+    return S, tree, np.empty((0, 2), dtype=np.int64), dist
+
+
+# hand-built cases whose decisions are exact ties, ties only after the
+# 12-decimal rounding, gaps of 1e-9 that the rounding must keep, or an
+# L-bar candidate set that falls back past an empty V_b^0
+HAND_CASES = ("ties", "rounding", "near-ties", "fallback")
+
+
+def hand_case(name):
+    return fallback_case() if name == "fallback" else tie_case(name)
+
+
 def tree_case(graph, n, seed, prefix):
-    """``assign_vertices`` inputs on the TMFG of a random ``S``, or on the
-    bubble tree detected in its PMFG (bubbles of more than 4 vertices)."""
+    """``assign_vertices`` inputs on the TMFG of a random ``S``, on the
+    bubble tree detected in its PMFG (bubbles of more than 4 vertices), or
+    on a hand-built tree (``HAND_CASES``)."""
+    if graph in HAND_CASES:
+        return hand_case(graph)
     S, D = rand_sim(n, seed)
     if graph == "tmfg":
         t = tmfg(S, prefix=prefix)
@@ -46,9 +128,10 @@ def tree_case(graph, n, seed, prefix):
 
 # the PMFG inputs are those of test_generic_dbht.py::TestPMFGDBHT
 TREE_CASES = ([("tmfg", *c) for c in CASES]
-              + [("pmfg", 15, 0, None), ("pmfg", 30, 1, None)])
+              + [("pmfg", 15, 0, None), ("pmfg", 30, 1, None)]
+              + [(h, None, None, None) for h in HAND_CASES])
 TREE_IDS = ([f"{n}-{s}-{p}" for n, s, p in CASES]
-            + ["pmfg-15-0", "pmfg-30-1"])
+            + ["pmfg-15-0", "pmfg-30-1"] + list(HAND_CASES))
 
 
 def clustered_case(n, seed, prefix):
@@ -62,7 +145,16 @@ def clustered_case(n, seed, prefix):
 
 
 LBAR_CASES = ([(make_case, *c) for c in CASES]
-              + [(clustered_case, 80, 0, 1), (clustered_case, 80, 1, 5)])
+              + [(clustered_case, 80, 0, 1), (clustered_case, 80, 1, 5)]
+              + [(h, None, None, None) for h in HAND_CASES])
+
+
+def lbar_case(build, n, seed, prefix):
+    """``assign_vertices`` inputs of one ``LBAR_CASES`` entry."""
+    if build in HAND_CASES:
+        return hand_case(build)
+    S, D, t = build(n, seed, prefix)
+    return S, t.tree, t.edges, tmfg_apsp(D, t)
 
 
 class TestAssignments:
@@ -87,11 +179,13 @@ class TestAssignments:
     def test_chi_argmax_definition(self, graph, n, seed, prefix):
         """Vertices inside converging bubbles must pick the converging
         bubble maximizing chi(v,b) = sum_{u in b} S[u,v] / (3(|b|-2)),
-        rounded to 12 decimals."""
+        rounded to 12 decimals, ties to the smaller bubble id."""
         S, tree, edges, dist = tree_case(graph, n, seed, prefix)
         a = assign_vertices(S, tree, edges, dist)
         cvg = [int(b) for b in a.converging]
+        n = len(S)
         mem = tree.vertex_memberships(n)
+        tied = 0
         for v in range(n):
             in_cvg = [b for b in mem[v] if b in cvg]
             if not in_cvg:
@@ -102,14 +196,20 @@ class TestAssignments:
                 chis[b] = round(sum(S[u, v] for u in verts if u != v)
                                 / (3 * (len(verts) - 2)), 12)
             best = max(chis.values())
-            assert chis[a.group[v]] == best
+            assert a.group[v] == min(b for b in chis if chis[b] == best)
+            tied += list(chis.values()).count(best) > 1
+        if graph in ("ties", "rounding"):
+            assert tied > 0
 
     def test_chi_normalized_by_edge_count(self):
-        """Vertices 0 and 1 lie in converging bubbles of 5 and 4 vertices
-        at equal similarities 0.5: the raw sum favours the larger bubble
-        (2.0 > 1.5), chi's division by 3(|b|-2) the smaller (2/9 < 1.5/6)."""
-        S = np.full((7, 7), 0.5)
-        np.fill_diagonal(S, 1.0)
+        """Vertices 0 and 1 lie in converging bubbles of 5 and 4 vertices.
+        At equal similarities 0.5, vertex 0's raw sum favours the larger
+        bubble (2.0 > 1.5), chi's division by 3(|b|-2) the smaller
+        (2/9 < 1.5/6). With 0.375 to vertices 3 and 6, vertex 1 keeps the
+        larger (2/9 > 1.25/6), which a division by the pair count
+        (2/10 < 1.25/6) or a sum that counts S[1,1] (3/9 < 2.25/6) would
+        flip."""
+        S = sym(7, 1.0, 0.5, {(1, 3): 0.375, (1, 6): 0.375})
         tree = BubbleTree(
             bubbles=[(0, 1, 2, 3), (0, 1, 2, 4, 5), (0, 1, 3, 6)],
             parent=[-1, 0, 0], children=[[1, 2], [], []],
@@ -118,16 +218,18 @@ class TestAssignments:
         a = assign_vertices(S, tree, np.empty((0, 2), dtype=np.int64),
                             np.zeros((7, 7)))
         assert a.converging.tolist() == [1, 2]
-        assert a.group.tolist() == [2, 2, 1, 2, 1, 1, 2]
+        assert a.group.tolist() == [2, 1, 1, 2, 1, 1, 2]
 
     @pytest.mark.parametrize("graph,n,seed,prefix", TREE_CASES, ids=TREE_IDS)
     def test_chi_prime_argmax_definition(self, graph, n, seed, prefix):
         """Every vertex picks the bubble maximizing chi'(v,b) =
         sum_{u in b} S[u,v] / sum_{u' < v' in b} S[u',v'], rounded to 12
-        decimals."""
+        decimals, ties to the smaller bubble id."""
         S, tree, edges, dist = tree_case(graph, n, seed, prefix)
         a = assign_vertices(S, tree, edges, dist)
+        n = len(S)
         mem = tree.vertex_memberships(n)
+        tied = 0
         for v in range(n):
             scores = {}
             for b in mem[v]:
@@ -136,10 +238,15 @@ class TestAssignments:
                 den = sum(S[verts[i], verts[j]]
                           for i in range(k) for j in range(i + 1, k))
                 scores[b] = round(sum(S[u, v] for u in verts if u != v) / den, 12)
-            assert scores[a.bubble[v]] == max(scores.values())
+            best = max(scores.values())
+            assert a.bubble[v] == min(b for b in scores if scores[b] == best)
+            tied += list(scores.values()).count(best) > 1
+        if graph in ("ties", "rounding"):
+            assert tied > 0
 
     @pytest.mark.parametrize("build,n,seed,prefix", LBAR_CASES,
-                             ids=[f"{b.__name__}-{n}-{s}-{p}"
+                             ids=[b if b in HAND_CASES
+                                  else f"{b.__name__}-{n}-{s}-{p}"
                                   for b, n, s, p in LBAR_CASES])
     def test_lbar_argmin_definition(self, build, n, seed, prefix):
         """Vertices in no converging bubble (none took them in the chi
@@ -147,26 +254,31 @@ class TestAssignments:
         ties to the smaller bubble id. The candidates are the converging
         bubbles with non-empty V_b^0 that a bubble holding v reaches,
         else all of those with non-empty V_b^0."""
-        S, D, t = build(n, seed, prefix)
-        dist = tmfg_apsp(D, t)
-        a = assign_vertices(S, t.tree, t.edges, dist)
-        tree = t.tree
+        S, tree, edges, dist = lbar_case(build, n, seed, prefix)
+        a = assign_vertices(S, tree, edges, dist)
+        n = len(S)
         cvg = [int(b) for b in a.converging]
         mem = tree.vertex_memberships(n)
         R = tree.reachable_converging()
         chi_pass = {v for b in cvg for v in tree.bubbles[b]}
         vb0 = {b: sorted(u for u in chi_pass if a.group[u] == b) for b in cvg}
         nonempty = [b for b in cvg if vb0[b]]
-        contested = 0
+        contested = tied = fell_back = 0
         for v in set(range(n)) - chi_pass:
             reach = {cvg[k] for b in mem[v] for k in np.flatnonzero(R[b])}
             cand = sorted(reach & set(nonempty)) or nonempty
+            fell_back += not reach & set(nonempty)
             lbar = {b: round(float(dist[vb0[b], v].mean()), 12) for b in cand}
             best = min(lbar.values())
             assert a.group[v] == min(b for b in cand if lbar[b] == best)
             contested += len(cand) > 1
+            tied += list(lbar.values()).count(best) > 1
         if build is clustered_case:
             assert contested > 0
+        if build in ("ties", "rounding"):
+            assert tied > 0
+        if build == "fallback":
+            assert fell_back > 0
 
     def test_length1_series_raise(self):
         """S = I makes every bubble's chi' denominator 0 (the S of

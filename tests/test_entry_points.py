@@ -1,9 +1,12 @@
 """Every job script and benchmark module imports: a stale import of a
 deleted module fails here rather than at the next exhibit run. Only the
-modules are loaded; no ``main`` runs."""
+modules are loaded; no ``main`` runs. Every module, attribute and source
+path that the docs name exists."""
+import ast
 import glob
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -25,3 +28,69 @@ def test_imports(path):
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(ROOT, path))
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+DOCS = ("README.md", "DESIGN.md", "PAPER.md")
+DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
+PATH = re.compile(r"(?<![\w/.])(?:src/)?(repro/[\w/]+)\.py(?:::([\w.]+))?")
+
+
+def _module(name):
+    """The module ``name``, or None if there is none (a missing dependency
+    of an existing module still raises)."""
+    try:
+        return importlib.import_module(name)
+    except ModuleNotFoundError as e:
+        if e.name == name:
+            return None
+        raise
+
+
+def _resolves(name):
+    """``repro.x.y[.attr...]`` names an existing module or attribute: its
+    longest module prefix has the rest as attributes."""
+    parts = name.split(".")
+    i = 1
+    while i < len(parts) and _module(".".join(parts[:i + 1])) is not None:
+        i += 1
+    obj = _module(".".join(parts[:i]))
+    if obj is None:
+        return False
+    for a in parts[i:]:
+        if not hasattr(obj, a):
+            return False
+        obj = getattr(obj, a)
+    return True
+
+
+def _doc_texts():
+    """(source, text) for the project docs and every ``src/repro`` module
+    docstring. CHANGES.md, ROADMAP.md and EXPERIMENTS.md are records of
+    past states and are left out."""
+    for doc in DOCS:
+        with open(os.path.join(ROOT, doc)) as f:
+            yield doc, f.read()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src/repro/**/*.py"),
+                                 recursive=True)):
+        with open(path) as f:
+            text = ast.get_docstring(ast.parse(f.read()))
+        if text:
+            yield os.path.relpath(path, ROOT), text
+
+
+def test_doc_references_resolve():
+    """Every backticked ``repro.x.y[.name]`` and every ``[src/]repro/...py``
+    path (with its ``::name``, if any) in the docs and module docstrings
+    names a module or attribute that exists."""
+    stale = []
+    for source, text in _doc_texts():
+        for span in re.findall(r"`+([^`]+)`+", text):
+            stale += [(source, m) for m in DOTTED.findall(span)
+                      if not _resolves(m)]
+        for m in PATH.finditer(text):
+            path, attr = m.group(1), m.group(2)
+            name = path.removesuffix("/__init__").replace("/", ".")
+            if not (os.path.exists(os.path.join(ROOT, "src", path + ".py"))
+                    and _resolves(f"{name}.{attr}" if attr else name)):
+                stale.append((source, m.group(0)))
+    assert not stale, stale
