@@ -1,10 +1,12 @@
-"""Distributed APSP: matches the driver Dijkstra substrate exactly."""
+"""Distributed APSP: one Spark job of dense source blocks, bit-identical
+to the driver kernel."""
 import numpy as np
 import pytest
+from pyspark import RDD
 
 from repro.core.tmfg import tmfg
 from repro.graphs.shortest_paths import apsp
-from repro.spark.apsp_spark import apsp_df, apsp_matrix_spark
+from repro.spark.apsp_spark import apsp_matrix_spark
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +23,7 @@ def graph():
 
 def test_matches_driver(spark, graph):
     """Bit for bit, at the default and every partition count, including
-    more partitions than sources (spark.range leaves some empty)."""
+    more partitions than sources (some blocks are then empty)."""
     n, edges, w = graph
     expected = apsp(n, edges, w)
     for partitions in (None, 1, 2, 3, 4, n + 17):
@@ -29,17 +31,35 @@ def test_matches_driver(spark, graph):
         assert np.array_equal(got, expected), partitions
 
 
-def test_df_shape_and_zero_diag(spark, graph):
-    """One dense row per source: n rows, each dist of length n, zero at
-    its own source."""
+def test_blocks_tile_sources(spark, graph, monkeypatch):
+    """The collect returns one dense (k, n) block per task, task i holding
+    sources i*n//P .. (i+1)*n//P - 1: zero at its own sources, and the
+    blocks tiling 0..n-1 in partition order (empty ones included)."""
     n, edges, w = graph
-    df = apsp_df(spark, n, edges, w)
-    pdf = df.toPandas()
-    df.edges_broadcast.unpersist()
-    assert len(pdf) == n
-    assert sorted(pdf["src"]) == list(range(n))
-    for src, dist in zip(pdf["src"], pdf["dist"]):
-        assert len(dist) == n and dist[src] == 0.0
+    collected = []
+    collect = RDD.collect
+
+    def spy(self):
+        out = collect(self)
+        collected.append(out)
+        return out
+
+    monkeypatch.setattr(RDD, "collect", spy)
+    for parts in (3, n + 17):
+        collected.clear()
+        M = apsp_matrix_spark(spark, n, edges, w, partitions=parts)
+        [blocks] = collected
+        assert len(blocks) == parts
+        start = 0
+        for i, block in enumerate(blocks):
+            k = (i + 1) * n // parts - i * n // parts
+            assert isinstance(block, np.ndarray) and block.dtype == np.float64
+            assert block.shape == (k, n), (parts, i)
+            src = np.arange(start, start + k)
+            assert np.all(block[np.arange(k), src] == 0.0)
+            assert np.array_equal(block, M[start:start + k])
+            start += k
+        assert start == n
 
 
 def test_symmetric(spark, graph):
@@ -56,8 +76,8 @@ def test_partitions_dont_change_result(spark, graph):
 
 
 def test_one_spark_job(spark, graph):
-    """The sources come straight from spark.range: no shuffle, so one
-    collect is one Spark job."""
+    """The block indices come straight from sc.range: no shuffle, so one
+    collect is one Spark job of one stage, with one task per block."""
     n, edges, w = graph
     sc = spark.sparkContext
     group = "test-apsp-matrix-jobs"
@@ -68,12 +88,16 @@ def test_one_spark_job(spark, graph):
         sc.setLocalProperty("spark.jobGroup.id", None)
     # let the listener bus record the jobs that just ended
     sc._jsc.sc().listenerBus().waitUntilEmpty()
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+    st = sc.statusTracker()
+    [job] = st.getJobIdsForGroup(group)
+    [stage] = st.getJobInfo(job).stageIds
+    info = st.getStageInfo(stage)
+    assert info.numTasks == 4 and info.numCompletedTasks == 4
 
 
 def test_broadcast_released(spark, graph, monkeypatch):
-    """apsp_matrix_spark unpersists the edge broadcast of apsp_df, also
-    when the collect raises."""
+    """apsp_matrix_spark unpersists its edge broadcast, also when the
+    collect raises."""
     n, edges, w = graph
     sc = spark.sparkContext
     made, released = [], []
@@ -98,7 +122,7 @@ def test_broadcast_released(spark, graph, monkeypatch):
     def fail(self):
         raise RuntimeError("collect failed")
 
-    monkeypatch.setattr(type(spark.range(1)), "toPandas", fail)
+    monkeypatch.setattr(RDD, "collect", fail)
     with pytest.raises(RuntimeError, match="collect failed"):
         apsp_matrix_spark(spark, n, edges, w)
     assert len(made) == 2 and released == made

@@ -98,14 +98,67 @@ def fallback_case():
     return S, tree, np.empty((0, 2), dtype=np.int64), dist
 
 
+def any_bubble_case():
+    """``assign_vertices`` inputs on a 9-vertex TMFG-shaped tree where
+    vertex 3, in no converging bubble, lies in bubbles that reach different
+    converging bubbles. Root 0 = (0,1,2,3) points down to the converging
+    bubble 1 = (0,1,2,4); bubble 2 = (0,1,3,5) points up to the root and
+    down to the converging bubble 3 = (0,1,5,6); bubble 4 = (0,2,4,7),
+    below bubble 1, points up to it and down to the converging bubble
+    5 = (2,4,7,8). Vertex 3 is in bubbles 0 and 2, which reach {1} and
+    {1, 3}: its L-bar candidates are those reached from any of its
+    bubbles, {1, 3}, and it goes to 3 (mean distance 1.5 against 2.0). The
+    bubbles reached from every one of its bubbles, or from its first,
+    give {1}; all converging bubbles would give 5 (mean distance 1.0)."""
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 5, 6),
+                 (0, 2, 4, 7), (2, 4, 7, 8)],
+        parent=[-1, 0, 0, 2, 1, 4], children=[[1, 2], [4], [3], [], [5], []],
+        sep_triangle=[None, (0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 2, 4),
+                      (2, 4, 7)], root=0,
+        down=np.array([False, True, False, True, False, True]))
+    S = sym(9, 1.0, 0.5, {})
+    dist = sym(9, 0.0, 2.0, {(3, 5): 1.5, (3, 6): 1.5,
+                             (3, 7): 1.0, (3, 8): 1.0})
+    return S, tree, np.empty((0, 2), dtype=np.int64), dist
+
+
+def frozen_v0_case():
+    """``assign_vertices`` inputs on ``tie_case``'s tree with bubble
+    4 = (0,2,6,7) below bubble 3, pointing up to it, so vertices 6 and 7
+    both go to L-bar with candidates 1 and 2, V^0 = {0,1,2,4} and {3,5}.
+    Vertex 6 goes to 2 (mean distance 1.0 against 2.0). Vertex 7 is at 0.8
+    from {3,5} and 1.0 from {0,1,2,4}, so it goes to 2 too; had V^0_2 taken
+    in vertex 6 (distance 2.0 from 7), its mean would be 1.2 and 7 would go
+    to 1."""
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6),
+                 (0, 2, 6, 7)],
+        parent=[-1, 0, 0, 0, 3], children=[[1, 2, 3], [], [], [4], []],
+        sep_triangle=[None, (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 2, 6)],
+        root=0, down=np.array([False, True, True, False, False]))
+    S = sym(8, 1.0, 0.5, {})
+    dist = sym(8, 0.0, 2.0, {(3, 6): 1.0, (5, 6): 1.0,
+                             (0, 7): 1.0, (1, 7): 1.0, (2, 7): 1.0,
+                             (4, 7): 1.0, (3, 7): 0.8, (5, 7): 0.8})
+    return S, tree, np.empty((0, 2), dtype=np.int64), dist
+
+
 # hand-built cases whose decisions are exact ties, ties only after the
-# 12-decimal rounding, gaps of 1e-9 that the rounding must keep, or an
-# L-bar candidate set that falls back past an empty V_b^0
-HAND_CASES = ("ties", "rounding", "near-ties", "fallback")
+# 12-decimal rounding, gaps of 1e-9 that the rounding must keep, an L-bar
+# candidate set that falls back past an empty V_b^0, one drawn from any
+# (not every) bubble of the vertex, or two L-bar vertices over a V_b^0
+# that the first one's assignment must not change
+HAND_CASES = ("ties", "rounding", "near-ties", "fallback", "any-bubble",
+              "frozen-v0")
+# the groups the L-bar rule gives in the last two (docstrings above)
+LBAR_GROUPS = {"any-bubble": {3: 3}, "frozen-v0": {6: 2, 7: 2}}
 
 
 def hand_case(name):
-    return fallback_case() if name == "fallback" else tie_case(name)
+    built = {"fallback": fallback_case, "any-bubble": any_bubble_case,
+             "frozen-v0": frozen_v0_case}
+    return built[name]() if name in built else tie_case(name)
 
 
 def tree_case(graph, n, seed, prefix):
@@ -252,8 +305,9 @@ class TestAssignments:
         """Vertices in no converging bubble (none took them in the chi
         pass) get the candidate minimizing round(mean dist to V_b^0, 12),
         ties to the smaller bubble id. The candidates are the converging
-        bubbles with non-empty V_b^0 that a bubble holding v reaches,
-        else all of those with non-empty V_b^0."""
+        bubbles with non-empty V_b^0 that any bubble holding v reaches,
+        else all of those with non-empty V_b^0. V_b^0 holds the chi pass's
+        vertices only, whatever L-bar assigns before v."""
         S, tree, edges, dist = lbar_case(build, n, seed, prefix)
         a = assign_vertices(S, tree, edges, dist)
         n = len(S)
@@ -279,6 +333,8 @@ class TestAssignments:
             assert tied > 0
         if build == "fallback":
             assert fell_back > 0
+        for v, g in LBAR_GROUPS.get(build, {}).items():
+            assert v not in chi_pass and a.group[v] == g
 
     def test_length1_series_raise(self):
         """S = I makes every bubble's chi' denominator 0 (the S of
