@@ -63,18 +63,90 @@ class DBHTResult:
 
 
 # --------------------------------------------------------------------- APSP
+def check_dissimilarity(D: np.ndarray, shape: Tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``D`` has ``shape``, that of ``S``: a
+    smaller ``D`` would fail on an edge index and a larger one give the
+    weights of another block."""
+    if np.shape(D) != tuple(shape):
+        raise ValueError(f"D must have the shape of S, {tuple(shape)}; "
+                         f"got {np.shape(D)}")
+
+
 def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
-    """All-pairs shortest paths over the TMFG with dissimilarity weights."""
+    """All-pairs shortest paths over the TMFG with dissimilarity weights.
+
+    ``D`` must be ``(t.n, t.n)``, the shape of the TMFG's ``S``; its edge
+    entries are the weights."""
+    check_dissimilarity(D, (t.n, t.n))
     w = D[t.edges[:, 0], t.edges[:, 1]]
     return shortest_paths.apsp(t.n, t.edges, w)
 
 
 # --------------------------------------------------- vertex assignment (4-23)
+def _by_size(tree: BubbleTree, ids: np.ndarray):
+    """Yield ``(bubble ids of size k, (m, k) array of their vertices)`` for
+    each bubble size ``k`` among the bubbles ``ids``."""
+    sizes = np.array([len(tree.bubbles[b]) for b in ids], dtype=np.int64)
+    for k in np.unique(sizes):
+        sel = ids[sizes == k]
+        yield sel, np.array([tree.bubbles[b] for b in sel], dtype=np.int64)
+
+
+def _first_per_vertex(v: np.ndarray, key: np.ndarray,
+                      b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Over the entries ``(v[i], key[i], b[i])``: each distinct vertex
+    (ascending) and the ``b`` of its entry with the smallest ``(key, b)``."""
+    order = np.lexsort((b, key, v))
+    v, b = v[order], b[order]
+    first = np.ones(len(v), dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first], b[first]
+
+
+def _best_attachment(S: np.ndarray, tree: BubbleTree, ids: np.ndarray,
+                     scale: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For every vertex of the bubbles ``ids``: the bubble maximizing
+    ``round(sum_{u in b, u != v} S[u, v] / scale[b], 12)``, ties to the
+    smallest id. Returns the vertices (ascending) and their bubbles.
+
+    Each numerator adds the other members left to right in bubble order,
+    as ``sum(S[u, v] for u in verts if u != v)`` does. The rounding is
+    numpy's ``np.round``, which is what Python's ``round`` does on a numpy
+    float64; it differs from ``round`` on a Python float for about 1 in
+    10^4 doubles."""
+    vs, scores, bs = [], [], []
+    for sel, V in _by_size(tree, ids):
+        k = V.shape[1]
+        for p in range(k):
+            others = [q for q in range(k) if q != p]
+            num = S[V[:, others[0]], V[:, p]]
+            for q in others[1:]:
+                num += S[V[:, q], V[:, p]]
+            vs.append(V[:, p])
+            scores.append(num / scale[sel])
+            bs.append(sel)
+    score = np.round(np.concatenate(scores), 12)
+    return _first_per_vertex(np.concatenate(vs), -score, np.concatenate(bs))
+
+
 def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
                     dist: np.ndarray) -> Assignments:
     """Lines 4-23 of Algorithm 4: group and bubble assignment on any bubble
     tree (a TMFG's, or a ``PlanarBubbleTree`` of a PMFG), directing its
     edges with the tree's own ``compute_directions`` if not yet done.
+
+    Every (vertex, bubble) pair is scored at once, as the paper's
+    WRITEMAX/WRITEMIN do; the decisions are those of the per-vertex
+    definitions, bit for bit, because the scores keep this order contract:
+
+    * chi and chi' numerators add the other members of the bubble left to
+      right in bubble order, and the chi' denominators the bubble's pairs
+      ``i < j`` in row-major order, starting from 0;
+    * chi and chi' are rounded to 12 decimals by ``np.round`` (what Python's
+      ``round`` does on a numpy float64), L-bar by Python's ``round`` on a
+      Python float;
+    * L-bar is ``dist[V_b^0, v].mean()``: a pairwise sum over the rows of
+      the V_b^0 sources at column ``v``, divided by ``|V_b^0|``.
 
     A bubble whose chi' denominator (the sum of its intra-bubble
     similarities) is <= 0 raises ``ValueError``, because chi' would be NaN
@@ -84,68 +156,73 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
     if tree.down is None:
         tree.compute_directions(S, edges)
     n = S.shape[0]
-    # chi' denominators, one (bubbles, k) stack per bubble size k: the
-    # pairs i < j are added in row-major order, as a left-to-right sum.
-    sizes = np.array([len(verts) for verts in tree.bubbles])
-    denom = np.empty(len(sizes))
-    for k in np.unique(sizes):
-        ids = np.flatnonzero(sizes == k)
-        V = np.array([tree.bubbles[b] for b in ids])
+    every = np.arange(tree.n_bubbles())
+    denom = np.empty(len(every))
+    pair_v, pair_b = [], []  # (vertex, bubble) membership pairs
+    for ids, V in _by_size(tree, every):
         d = np.zeros(len(ids))
-        for i, j in itertools.combinations(range(k), 2):
+        for i, j in itertools.combinations(range(V.shape[1]), 2):
             d += S[V[:, i], V[:, j]]
         denom[ids] = d
+        pair_v.append(V.ravel())
+        pair_b.append(np.repeat(ids, V.shape[1]))
     if (denom <= 0).any():
         raise ValueError("bubble similarity sums must be positive for chi'")
     cvg = tree.converging_bubbles()
-    mem = tree.vertex_memberships(n)
 
     # chi(v, b) = sum_{u in b} w(u, v) / (3(|b| - 2)): v's similarity to
-    # the rest of b over b's edge count (6 on a 4-clique). Scores are
-    # rounded to 12 decimals before comparison so the order of a sum cannot
-    # flip a decision; ties go to the smallest bubble id (iteration over
-    # ``cvg`` is ascending).
+    # the rest of b over b's edge count (6 on a 4-clique), for the vertices
+    # of converging bubbles. Scores are rounded to 12 decimals before
+    # comparison so the order of a sum cannot flip a decision; ties go to
+    # the smallest bubble id.
     group = np.full(n, -1, dtype=np.int64)
-    best_chi = np.full(n, -np.inf)
-    for b in cvg:
-        verts = tree.bubbles[int(b)]
-        norm = 3.0 * (len(verts) - 2)
-        for v in verts:
-            chi = round(sum(S[u, v] for u in verts if u != v) / norm, 12)
-            if chi > best_chi[v]:
-                best_chi[v] = chi
-                group[v] = b
+    edge_count = 3.0 * (np.array([len(verts) for verts in tree.bubbles]) - 2)
+    v, b = _best_attachment(S, tree, cvg, edge_count)
+    group[v] = b
 
     # Remaining vertices: min mean shortest-path distance L-bar to V_b^0
-    # (the vertices the chi pass gave to b) over the candidates, ascending
-    # so ties keep the smallest bubble id. The candidates are the converging
-    # bubbles with non-empty V_b^0 that a bubble containing v reaches along
+    # (the vertices the chi pass gave to b) over the candidates, ties to
+    # the smallest bubble id. The candidates are the converging bubbles
+    # with non-empty V_b^0 that a bubble containing v reaches along
     # directed edges, or, when there is none, every converging bubble with
-    # non-empty V_b^0 (the paper's "v -> b" set always holds one in practice).
-    reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
-    vb0 = [np.flatnonzero(group == b) for b in cvg]
-    nonempty = np.array([len(u) > 0 for u in vb0])
-    for v in np.flatnonzero(group == -1):
-        ok = reach[mem[v]].any(axis=0) & nonempty
-        if not ok.any():
-            ok = nonempty
-        cand = np.flatnonzero(ok)
-        lbar = [round(float(dist[vb0[k], v].mean()), 12) for k in cand]
-        group[v] = cvg[cand[int(np.argmin(lbar))]]
+    # non-empty V_b^0 (the paper's "v -> b" set always holds one in
+    # practice). V_b^0 is fixed before any L-bar assignment.
+    rest = np.flatnonzero(group == -1)
+    if len(rest):
+        vb0 = [np.flatnonzero(group == b) for b in cvg]
+        nonempty = np.array([len(u) > 0 for u in vb0])
+        row = np.full(n, -1)
+        row[rest] = np.arange(len(rest))
+        pv, pb = np.concatenate(pair_v), np.concatenate(pair_b)
+        on = row[pv] >= 0
+        rows, bubbles = row[pv[on]], pb[on]
+        reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
+        # ok[r, k]: some bubble holding rest[r] reaches the k-th converging
+        # bubble, whose V_b^0 is non-empty
+        ok = np.zeros((len(rest), len(cvg)), dtype=bool)
+        for k in np.flatnonzero(nonempty):
+            ok[rows[reach[bubbles, k]], k] = True
+        ok[~ok.any(axis=1)] = nonempty
+        vs, scores, ks = [], [], []
+        for k in np.flatnonzero(nonempty):
+            U = rest[ok[:, k]]
+            # one row per candidate: a contiguous reduction, so each mean
+            # is the pairwise sum of dist[vb0[k], v].mean()
+            block = np.ascontiguousarray(dist[np.ix_(vb0[k], U)].T)
+            vs.append(U)
+            scores.append(block.mean(axis=1))
+            ks.append(np.full(len(U), k))
+        lbar = np.array([round(x, 12) for x in np.concatenate(scores).tolist()])
+        v, k = _first_per_vertex(np.concatenate(vs), lbar, np.concatenate(ks))
+        group[v] = cvg[k]
 
     # Second level: bubble assignment by
     # chi'(v, b) = sum_{u in b} w(u, v) / sum_{u' < v' in b} w(u', v')
     # for *all* vertices (per the paper's footnote, matching the reference
-    # implementation).
+    # implementation), rounded and tie-broken as chi.
     bubble = np.full(n, -1, dtype=np.int64)
-    best_chi2 = np.full(n, -np.inf)
-    for v in range(n):
-        for b in mem[v]:  # ascending: ties keep the smallest bubble id
-            verts = tree.bubbles[b]
-            chi2 = round(sum(S[u, v] for u in verts if u != v) / denom[b], 12)
-            if chi2 > best_chi2[v]:
-                best_chi2[v] = chi2
-                bubble[v] = b
+    v, b = _best_attachment(S, tree, every, denom)
+    bubble[v] = b
     return Assignments(group=group, bubble=bubble, converging=cvg)
 
 
@@ -187,19 +264,22 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
     group_roots: List[int] = []
     group_members: List[np.ndarray] = []
     for g in np.unique(assign.group):
-        in_g = assign.group == g
-        g_members = np.flatnonzero(in_g)
+        g_members = np.flatnonzero(assign.group == g)
         n_b = len(g_members)
         ladder = iter([1.0 / (n_b - 1 - i) for i in range(n_b - 1)])
+        # the group's own block of dist: its subgroup levels read no other
+        # column (positions in g_members keep the row order of vertex ids)
+        block = dist[np.ix_(g_members, g_members)]
+        bubble = assign.bubble[g_members]
         sub_roots: List[int] = []
         sub_members: List[np.ndarray] = []
-        for q in np.unique(assign.bubble[g_members]):
-            members = np.flatnonzero(in_g & (assign.bubble == q))
+        for q in np.unique(bubble):
+            members = np.flatnonzero(bubble == q)
             sub_members.append(members)
-            sub_roots.append(link(members.tolist(),
-                                  dist[np.ix_(members, members)], ladder))
+            sub_roots.append(link(g_members[members].tolist(),
+                                  block[np.ix_(members, members)], ladder))
         group_roots.append(link(sub_roots,
-                                pairwise_max_between(dist, sub_members),
+                                pairwise_max_between(block, sub_members),
                                 ladder))
         group_members.append(g_members)
     link(group_roots, pairwise_max_between(dist, group_members))

@@ -14,8 +14,8 @@ ever created). Each round does only the work of Lines 9-16:
 - re-scoring the new faces and the faces whose best vertex was just
   inserted is one blocked numpy pass over the *scored columns*, a copy of
   ``S`` restricted to the vertices not yet inserted (inserted columns are
-  set to ``-inf`` and dropped once fewer than half are live, so the
-  copying totals O(n^2));
+  masked by a row of ``-inf`` added to each scored block, and dropped once
+  fewer than half are live, so the copying totals O(n^2));
 - the selection partitions the live gains around the ``prefix``-th
   largest and orders only the ``prefix`` faces at or above that cut, so
   no round sorts every live face.
@@ -85,14 +85,16 @@ def _check_similarity(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _score(Sc: np.ndarray, faces: np.ndarray,
-           cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _score(Sc: np.ndarray, faces: np.ndarray, cols: np.ndarray,
+           mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Best remaining vertex per face row and its gain (ties: smallest id).
 
-    ``Sc`` holds the columns ``cols`` (ascending vertex ids) of ``S``, with
-    the inserted vertices' columns at ``-inf``. The gain row is
-    ``Sc[a] + Sc[b] + Sc[c]`` over the sorted corners, summed left to
-    right, so each gain is the same float as over all of ``S``.
+    ``Sc`` holds the columns ``cols`` (ascending vertex ids) of ``S``;
+    ``mask`` is ``0.0`` at the remaining vertices' columns and ``-inf`` at
+    the inserted ones'. The gain row is ``Sc[a] + Sc[b] + Sc[c]`` over the
+    sorted corners, summed left to right, plus ``mask``: each gain is the
+    same float as over all of ``S`` (``x + 0.0`` only turns ``-0.0`` into
+    ``0.0``, which compares equal).
     """
     best = np.empty(len(faces), dtype=np.int64)
     gain = np.empty(len(faces))
@@ -102,6 +104,7 @@ def _score(Sc: np.ndarray, faces: np.ndarray,
         g = Sc[f[:, 0]]
         g += Sc[f[:, 1]]
         g += Sc[f[:, 2]]
+        g += mask
         b = g.argmax(axis=1)  # first occurrence of the max -> smallest id
         best[lo:lo + len(f)] = cols[b]
         gain[lo:lo + len(f)] = g[np.arange(len(f)), b]
@@ -125,13 +128,13 @@ def select_batch(best_v: np.ndarray, gain: np.ndarray, alive: np.ndarray,
         return []
     g = np.where(alive, gain, -np.inf)
     if k == 1:
-        top = np.array([g.argmax()])  # first occurrence -> smallest face id
-    else:
-        cut = np.partition(g, len(g) - k)[len(g) - k]
-        above = np.flatnonzero(g > cut)
-        at_cut = np.flatnonzero(g == cut)[:k - len(above)]
-        top = np.concatenate((above, at_cut))
-        top = top[np.lexsort((top, -g[top]))]
+        f = int(g.argmax())  # first occurrence -> smallest face id
+        return [(int(best_v[f]), f)]
+    cut = np.partition(g, len(g) - k)[len(g) - k]
+    above = np.flatnonzero(g > cut)
+    at_cut = np.flatnonzero(g == cut)[:k - len(above)]
+    top = np.concatenate((above, at_cut))
+    top = top[np.lexsort((top, -g[top]))]
     _, first = np.unique(best_v[top], return_index=True)
     keep = np.sort(top[first])
     return list(zip(best_v[keep].tolist(), keep.tolist()))
@@ -164,6 +167,7 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
     # The scored columns: a copy, so the caller's S is never written.
     cols = np.flatnonzero(remaining)
     Sc = S.take(cols, axis=1)  # C-ordered, unlike S[:, cols]
+    mask = np.zeros(len(cols))
     # Lines 6-7: bubble tree seeded with the clique; face 0 is the outer face.
     tree = BubbleTree.initial(seed, [0, 1, 2, 3], outer_face=0)
     insertions: List[Tuple[int, Triangle]] = []
@@ -171,12 +175,12 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
     rescore = np.arange(4)  # Line 5: the initial GAINS
     # Lines 8-17: insert remaining vertices in batches of up to ``prefix``.
     while remaining.any():
-        best_v[rescore], gain[rescore] = _score(Sc, tri[rescore], cols)
+        best_v[rescore], gain[rescore] = _score(Sc, tri[rescore], cols, mask)
         rounds += 1
         batch = select_batch(best_v, gain, alive, prefix)
         inserted = [v for v, _ in batch]
         remaining[inserted] = False
-        Sc[:, np.searchsorted(cols, inserted)] = -np.inf
+        mask[np.searchsorted(cols, inserted)] = -np.inf
         first_new = n_faces
         for v, fid in batch:  # face ids are distinct; order is deterministic
             vx, vy, vz = tri[fid].tolist()
@@ -198,7 +202,7 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
         rescore = np.concatenate((stale, np.arange(first_new, n_faces)))
         if 2 * (n - 4 - len(insertions)) < len(cols):
             keep = np.flatnonzero(remaining[cols])
-            cols, Sc = cols[keep], Sc.take(keep, axis=1)
+            cols, Sc, mask = cols[keep], Sc.take(keep, axis=1), mask[keep]
     edge_arr = np.array(sorted(set(edges)), dtype=np.int64)
     assert len(edge_arr) == 3 * n - 6, "TMFG must have exactly 3n-6 edges"
     return TMFGResult(n=n, prefix=prefix, edges=edge_arr, tree=tree,

@@ -172,6 +172,10 @@ def load_ucr_lite(dataset_id: int, *, seed: int = 0) -> TSDataset:
 
 
 # ------------------------------------------------------------- correlations
+# Entries per block of the correlation's symmetrisation.
+_SYM_BLOCK = 1 << 16
+
+
 def correlation_matrices(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(similarity S = Pearson p, dissimilarity D = sqrt(2(1-p))).
 
@@ -190,11 +194,25 @@ def correlation_matrices(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                          f"{MIN_STD:g}), first row {flat[0]}: their "
                          "correlation is undefined")
     Z = znorm(X)
-    p = (Z @ Z.T) / Z.shape[1]
-    p = np.clip(p, -1.0, 1.0)
+    p = Z @ Z.T
+    p /= Z.shape[1]
+    np.clip(p, -1.0, 1.0, out=p)
     np.fill_diagonal(p, 1.0)
-    p = 0.5 * (p + p.T)
-    D = np.sqrt(np.maximum(2.0 * (1.0 - p), 0.0))
+    # p = 0.5 * (p + p.T), one block of rows of the upper triangle at a
+    # time: both entries of a pair get 0.5 * (p[i, j] + p[j, i]), the same
+    # float either way round, with no n x n temporary
+    n = len(p)
+    step = max(1, _SYM_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        s = p[lo:hi, lo:] + p[lo:, lo:hi].T
+        s *= 0.5
+        p[lo:hi, lo:] = s
+        p[lo:, lo:hi] = s.T
+    D = np.subtract(1.0, p)  # D = sqrt(max(2(1 - p), 0)), in place
+    D *= 2.0
+    np.maximum(D, 0.0, out=D)
+    np.sqrt(D, out=D)
     return p, D
 
 

@@ -136,10 +136,11 @@ class BubbleTree:
         triangle). Entries for the root are False and unused.
         """
         n_b = self.n_bubbles()
-        deg = np.zeros(S.shape[0])
-        for u, w in edges:
-            deg[u] += S[u, w]
-            deg[w] += S[u, w]
+        # weighted degrees: each vertex adds its edges' weights in edge
+        # order, from 0.0, as a loop over the edges would
+        w = S[edges[:, 0], edges[:, 1]]
+        deg = np.bincount(edges.ravel(), weights=np.repeat(w, 2),
+                          minlength=S.shape[0])
         # r maps (bubble -> {corner: interior weight sum}); children first.
         order = np.argsort(-self.depths(), kind="stable")  # deepest first
         r: List[Dict[int, float]] = [{} for _ in range(n_b)]

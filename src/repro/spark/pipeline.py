@@ -28,7 +28,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dbht import (DBHTResult, assign_vertices, build_hierarchy,
-                             tmfg_apsp)
+                             check_dissimilarity, tmfg_apsp)
 from repro.core.tmfg import TMFGResult, tmfg
 from repro.spark.apsp_spark import apsp_matrix_spark
 
@@ -70,12 +70,14 @@ def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
               prefix: int = 10, partitions: Optional[int] = None,
               spark_tmfg: bool = False) -> TimedRun:
     """Parallel TMFG + DBHT (PAR-TDBHT): the TMFG, assignment and
-    hierarchy on the driver, APSP on Spark."""
+    hierarchy on the driver, APSP on Spark. ``D`` must have the shape of
+    ``S``, else ``ValueError``."""
     # Only perfbench/run.py::tmfg_placement still passes this keyword
     # (always False); it goes with that harness function.
     if spark_tmfg:
         raise ValueError("spark_tmfg=True is not supported: par_tdbht "
                          "builds the TMFG on the driver")
+    check_dissimilarity(D, np.shape(S))
     times: Dict[str, float] = {}
     t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
     w = D[t.edges[:, 0], t.edges[:, 1]]
@@ -85,7 +87,9 @@ def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
 
 
 def seq_tdbht(S: np.ndarray, D: np.ndarray, prefix: int = 1) -> TimedRun:
-    """Sequential TMFG + DBHT on the driver (SEQ-TDBHT analog)."""
+    """Sequential TMFG + DBHT on the driver (SEQ-TDBHT analog). ``D``
+    must have the shape of ``S``, else ``ValueError``."""
+    check_dissimilarity(D, np.shape(S))
     times: Dict[str, float] = {}
     t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
     dist = _timed(times, "apsp", tmfg_apsp, D, t)

@@ -3,12 +3,13 @@ structure (Section V-D), and end-to-end clustering sanity."""
 import numpy as np
 import pytest
 
-from repro.core.dbht import assign_vertices, dbht, tmfg_apsp
+from repro.core.dbht import assign_vertices, build_hierarchy, dbht, tmfg_apsp
 from repro.core.generic_dbht import planar_bubble_tree
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
-from repro.datasets import correlation_matrices, latent_curve_dataset
+from repro.datasets import (correlation_matrices, latent_curve_dataset,
+                            load_ucr_lite)
 from repro.graphs import shortest_paths
 from repro.graphs.bubble_tree import BubbleTree
 
@@ -144,20 +145,79 @@ def frozen_v0_case():
     return S, tree, np.empty((0, 2), dtype=np.int64), dist
 
 
+def round_half_case():
+    """``assign_vertices`` inputs where the 12-decimal rounding method
+    decides a chi' argmax. Root bubble 0 = (0,1,2,3) points down to the
+    converging bubble 1 = (0,1,2,4); both chi' denominators add up to
+    exactly 2.0, and vertex 0's chi' is x = 0.5918468900725 in bubble 0
+    and y = 0.591846890073 in bubble 1. The definition rounds the numpy
+    float64 score, which ``round`` does as ``np.round``: x goes to
+    0.591846890072 and bubble 1 wins. ``round`` on the Python float x
+    gives 0.591846890073, a tie that bubble 0 would win."""
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3), (0, 1, 2, 4)], parent=[-1, 0],
+        children=[[1], []], sep_triangle=[None, (0, 1, 2)], root=0,
+        down=np.array([False, True]))
+    x, y = 0.5918468900725, 0.591846890073
+    # left to right, 0.25 + 0.25 + (2x - 0.5) is 2x and the denominator
+    # 2x + 0.25 + 0.25 + (1.5 - 2x) is 2.0, all exactly
+    S = sym(5, 1.0, 0.5, {
+        (0, 1): 0.25, (0, 2): 0.25, (1, 2): 0.25, (1, 3): 0.25, (1, 4): 0.25,
+        (0, 3): 2 * x - 0.5, (2, 3): 1.5 - 2 * x,
+        (0, 4): 2 * y - 0.5, (2, 4): 1.5 - 2 * y})
+    return S, tree, np.empty((0, 2), dtype=np.int64), sym(5, 0.0, 1.0, {})
+
+
+# distances from V_b^0 = {5, ..., 13} in ``pairwise_mean_case``
+PAIRWISE_DISTS = (2.9, 1.6, 3.1, 3.3, 1.2, 2.1, 2.0, 2.7, 7.732436895940502)
+
+
+def pairwise_mean_case():
+    """``assign_vertices`` inputs where the summation order of an L-bar
+    mean over a V_b^0 of 9 vertices decides. Root bubble 0 = (0,1,2,3,4)
+    points down to the converging bubbles 1 = (0,1,2,5,...,13) and
+    2 = (0,1,2,14). Vertices 0, 1 and 2 go to bubble 2 by chi (1.5/6
+    against 5.5/30), so V^0 is {5, ..., 13} and {0, 1, 2, 14}, and
+    vertices 3 and 4 go to L-bar with candidates 1 and 2. Their distances
+    from 5, ..., 13 are ``PAIRWISE_DISTS``: numpy's pairwise sum, as in
+    ``dist[V^0, v].mean()``, gives 2.9591596551045, which Python's
+    ``round`` takes to 2.959159655105. A left-to-right sum (a mean over
+    axis 0 of both vertices' columns) and ``np.round`` each give
+    2.959159655104 instead. Their distance from all of bubble 2's V^0 is
+    2.959159655104, so both go to bubble 2; either of those changes makes
+    a tie that bubble 1 wins."""
+    tree = BubbleTree(
+        bubbles=[(0, 1, 2, 3, 4), (0, 1, 2, *range(5, 14)), (0, 1, 2, 14)],
+        parent=[-1, 0, 0], children=[[1, 2], [], []],
+        sep_triangle=[None, (0, 1, 2), (0, 1, 2)], root=0,
+        down=np.array([False, True, True]))
+    far = {(u, v): 2.959159655104 for u in (0, 1, 2, 14) for v in (3, 4)}
+    near = {(u, v): w for u, w in zip(range(5, 14), PAIRWISE_DISTS)
+            for v in (3, 4)}
+    dist = sym(15, 0.0, 5.0, {**far, **near})
+    return sym(15, 1.0, 0.5, {}), tree, np.empty((0, 2), dtype=np.int64), dist
+
+
 # hand-built cases whose decisions are exact ties, ties only after the
 # 12-decimal rounding, gaps of 1e-9 that the rounding must keep, an L-bar
 # candidate set that falls back past an empty V_b^0, one drawn from any
-# (not every) bubble of the vertex, or two L-bar vertices over a V_b^0
-# that the first one's assignment must not change
+# (not every) bubble of the vertex, two L-bar vertices over a V_b^0 that
+# the first one's assignment must not change, a chi' that numpy's and
+# Python's 12-decimal roundings decide apart, or an L-bar mean whose
+# summation order decides
 HAND_CASES = ("ties", "rounding", "near-ties", "fallback", "any-bubble",
-              "frozen-v0")
-# the groups the L-bar rule gives in the last two (docstrings above)
-LBAR_GROUPS = {"any-bubble": {3: 3}, "frozen-v0": {6: 2, 7: 2}}
+              "frozen-v0", "round-half", "pairwise-mean")
+# the groups the L-bar rule gives and the bubbles the chi' rule gives in
+# some of them (docstrings above)
+LBAR_GROUPS = {"any-bubble": {3: 3}, "frozen-v0": {6: 2, 7: 2},
+               "pairwise-mean": {3: 2, 4: 2}}
+CHI_PRIME_BUBBLES = {"round-half": {0: 1}}
 
 
 def hand_case(name):
     built = {"fallback": fallback_case, "any-bubble": any_bubble_case,
-             "frozen-v0": frozen_v0_case}
+             "frozen-v0": frozen_v0_case, "round-half": round_half_case,
+             "pairwise-mean": pairwise_mean_case}
     return built[name]() if name in built else tie_case(name)
 
 
@@ -296,6 +356,8 @@ class TestAssignments:
             tied += list(scores.values()).count(best) > 1
         if graph in ("ties", "rounding"):
             assert tied > 0
+        for v, b in CHI_PRIME_BUBBLES.get(graph, {}).items():
+            assert a.bubble[v] == b
 
     @pytest.mark.parametrize("build,n,seed,prefix", LBAR_CASES,
                              ids=[b if b in HAND_CASES
@@ -403,6 +465,31 @@ class TestHierarchy:
             assert ari(res.assignments.group, labels) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("case", ["crop-lite", "ecg5000-lite",
+                                      "pmfg-30-1"])
+    def test_transposed_dist(self, case):
+        """``apsp`` is not bit-symmetric, and DBHT reads one orientation of
+        each pair: L-bar the rows of the V_b^0 sources, the linkages their
+        blocks as given. On these inputs (Crop-lite and ECG5000-lite at
+        seed 0, prefix 1, and a PMFG tree) the groups, bubbles and merges
+        are the same on ``dist`` and on its transpose."""
+        if case == "pmfg-30-1":
+            S, tree, edges, dist = tree_case("pmfg", 30, 1, None)
+        else:
+            ds = load_ucr_lite(17 if case == "crop-lite" else 6, seed=0)
+            S, D = correlation_matrices(ds.X)
+            t = tmfg(S, prefix=1)
+            tree, edges, dist = t.tree, t.edges, tmfg_apsp(D, t)
+        dist_t = np.ascontiguousarray(dist.T)
+        assert not np.array_equal(dist, dist_t)
+        a = assign_vertices(S, tree, edges, dist)
+        b = assign_vertices(S, tree, edges, dist_t)
+        assert np.array_equal(a.group, b.group)
+        assert np.array_equal(a.bubble, b.bubble)
+        assert np.array_equal(build_hierarchy(a, dist).merges,
+                              build_hierarchy(b, dist_t).merges)
+
+
 class TestEndToEnd:
     def test_recovers_clear_clusters(self):
         ds = latent_curve_dataset("easy", 80, 100, 4, noise=0.3, shared=0.2,
@@ -421,6 +508,14 @@ class TestEndToEnd:
         res.dendrogram.validate()
         labels = res.dendrogram.cut_k(3)
         assert len(np.unique(labels)) == 3
+
+    @pytest.mark.parametrize("shape", [(39, 39), (41, 41), (40, 39)])
+    def test_apsp_rejects_d_of_another_shape(self, shape):
+        """``D`` must have the shape of ``S``: a smaller one would fail on
+        an edge index, a larger one give another block's weights."""
+        S, D, t = make_case(40, 4)
+        with pytest.raises(ValueError, match="shape of S"):
+            tmfg_apsp(np.ones(shape), t)
 
     def test_n4_minimal(self):
         S, D, t = make_case(4, 0)

@@ -58,6 +58,20 @@ def test_par_equals_seq(spark, data, kind, prefix):
                            seq.result.dendrogram.merges)
 
 
+@pytest.mark.parametrize("grow", [-1, 1])
+def test_d_of_another_shape_raises(spark, data, grow):
+    """Both pipelines reject a ``D`` whose shape is not ``S``'s before any
+    step runs: a smaller one would fail on an edge index, a larger one
+    silently give the weights of another block."""
+    _, S, D = data
+    n = len(S) + grow
+    D = np.pad(D, (0, grow)) if grow > 0 else D[:n, :n]
+    with pytest.raises(ValueError, match="shape of S"):
+        seq_tdbht(S, D, prefix=8)
+    with pytest.raises(ValueError, match="shape of S"):
+        par_tdbht(spark, S, D, prefix=8)
+
+
 def test_times_breakdown_keys(spark, data):
     _, S, D = data
     run = par_tdbht(spark, S, D, prefix=8)
