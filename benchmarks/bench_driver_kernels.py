@@ -1,15 +1,14 @@
 """Step timings of the driver kernels that SEQ-TDBHT and PAR-TDBHT share.
 
 Times, on one input at prefix 1, the five driver steps from raw series to
-dendrogram, each with the public function the pipelines call:
+dendrogram, with the public functions SEQ-TDBHT calls:
 
 * ``correlation``: ``repro.datasets.correlation_matrices``;
 * ``tmfg``: ``repro.core.tmfg.tmfg``;
-* ``apsp``: ``repro.core.dbht.tmfg_apsp`` (the driver kernel; PAR runs the
-  same kernel in Spark tasks);
-* ``assignment``: ``repro.core.dbht.assign_vertices``, directions included
-  (the pipelines' ``bubble-tree`` step);
-* ``hierarchy``: ``repro.core.dbht.build_hierarchy``.
+* ``apsp``, ``assignment`` and ``hierarchy``: the step times that
+  ``repro.core.dbht.dbht`` reports as ``apsp`` (the driver kernel; PAR
+  runs the same kernel in Spark tasks), ``bubble-tree`` (directions and
+  assignments) and ``hierarchy``.
 
 The inputs are Crop-lite (``crop``: ``load_ucr_lite(17)``, n=1294) and the
 scale input ``n4000``: ``latent_curve_dataset`` with Crop-lite's
@@ -35,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.core.dbht import assign_vertices, build_hierarchy, tmfg_apsp
+from repro.core.dbht import dbht
 from repro.core.tmfg import tmfg
 from repro.datasets import (UCR_LITE, correlation_matrices,
                             latent_curve_dataset, load_ucr_lite)
@@ -54,23 +53,21 @@ def load_input(name: str) -> np.ndarray:
 
 def run_chain(X: np.ndarray):
     """One pass over the five steps: ``(seconds per step, outputs)``."""
-    times, out = {}, {}
+    out = {}
     t0 = time.perf_counter()
     S, D = out["correlation"] = correlation_matrices(X)
     t1 = time.perf_counter()
     t = tmfg(S, prefix=1)
     out["tmfg"] = (t.edges, t.seed_vertices)
     t2 = time.perf_counter()
-    dist = out["apsp"] = tmfg_apsp(D, t)
-    t3 = time.perf_counter()
-    a = assign_vertices(S, t.tree, t.edges, dist)
-    out["assignment"] = (a.group, a.bubble)
-    t4 = time.perf_counter()
-    out["hierarchy"] = build_hierarchy(a, dist).merges
-    t5 = time.perf_counter()
-    for step, (lo, hi) in zip(STEPS, [(t0, t1), (t1, t2), (t2, t3),
-                                      (t3, t4), (t4, t5)]):
-        times[step] = hi - lo
+    res = dbht(S, D, t.tree, t.edges)
+    out["apsp"] = res.apsp
+    out["assignment"] = (res.assignments.group, res.assignments.bubble)
+    out["hierarchy"] = res.dendrogram.merges
+    times = {"correlation": t1 - t0, "tmfg": t2 - t1,
+             "apsp": res.times["apsp"],
+             "assignment": res.times["bubble-tree"],
+             "hierarchy": res.times["hierarchy"]}
     return times, out
 
 

@@ -24,7 +24,7 @@ def main(dataset_ids):
         aris = []
         for prefix in PREFIXES:
             t = tmfg(S, prefix=prefix)
-            res = dbht(S, D, t)
+            res = dbht(S, D, t.tree, t.edges)
             aris.append(round(ari(ds.y, res.dendrogram.cut_k(k)), 3))
         rows.append((did, ds.name, ds.n, *aris))
     table = markdown_table(

@@ -28,7 +28,7 @@ def cluster_stocks(prefix: int, returns: np.ndarray, k: int):
     emb = spectral_embedding(returns, n_components=k, beta=min(60, len(returns) - 1))
     S, D = correlation_matrices(emb)
     t = tmfg(S, prefix=prefix)
-    res = dbht(S, D, t)
+    res = dbht(S, D, t.tree, t.edges)
     return res.dendrogram.cut_k(k)
 
 

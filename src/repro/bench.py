@@ -12,16 +12,12 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.dbht import dbht
 from repro.core.dendrogram import from_linkage
 from repro.core.generic_dbht import dbht_on_planar_graph
 from repro.core.kmeans import kmeans, kmeans_s
 from repro.core.linkage import hac
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
-from repro.core.tmfg import tmfg
 from repro.datasets import TSDataset, correlation_matrices, znorm
 from repro.spark.pipeline import par_tdbht, seq_tdbht
 
@@ -128,8 +124,9 @@ def write_result(name: str, text: str) -> str:
 
 
 def get_spark():
-    """Standalone SparkSession for ``spark-submit``/CLI job runs, mirroring
-    the conftest fixture's configuration."""
+    """Standalone SparkSession for ``spark-submit``/CLI job runs, with the
+    conftest fixture's master, driver memory and host. No program stage
+    runs Spark SQL, so no SQL setting is made."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -139,13 +136,6 @@ def get_spark():
     )
     from pyspark.sql import SparkSession
 
-    s = (
-        SparkSession.builder.appName("repro-job")
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    s = SparkSession.builder.appName("repro-job").getOrCreate()
     s.sparkContext.setLogLevel("ERROR")
     return s

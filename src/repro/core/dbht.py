@@ -1,13 +1,17 @@
 """DBHT vertex assignment and hierarchy (Algorithm 4), on the driver in
-both pipelines and for the PMFG-DBHT baseline.
+both pipelines and for the PMFG-DBHT baseline. ``dbht`` is the one place
+that runs these steps, on any bubble tree; only its APSP stage is
+swappable.
 
 Steps (Section V):
   1. direct the bubble-tree edges with the tree's ``compute_directions``
      (Algorithm 3 on a TMFG tree, the quadratic method on a
-     ``PlanarBubbleTree``);
+     ``PlanarBubbleTree``), which returns the directions ``down`` for the
+     ``S`` at hand; the tree stores none, so a tree reused with another
+     ``S`` is directed anew;
   2. find converging bubbles (out-degree 0) and, per bubble, the set of
      converging bubbles reachable along directed edges (two passes over
-     the rooted tree, ``BubbleTree.reachable_converging``);
+     the rooted tree, ``BubbleTree.reachable_converging(down)``);
   3. APSP over the filtered graph under the dissimilarity weights;
   4. first-level assignment: every vertex gets a *group* (a converging
      bubble) — by max attachment ``chi(v, b) = sum_{u in b} w(u, v) /
@@ -34,14 +38,14 @@ remaining ties toward the smaller bubble id.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dendrogram import Dendrogram
 from repro.core.linkage import hac, pairwise_max_between
-from repro.core.tmfg import TMFGResult
 from repro.graphs import shortest_paths
 from repro.graphs.bubble_tree import BubbleTree
 
@@ -60,26 +64,16 @@ class DBHTResult:
     dendrogram: Dendrogram
     assignments: Assignments
     apsp: np.ndarray  # (n, n) shortest-path distances used by the hierarchy
+    # wall seconds per step, under Fig. 5's keys: "apsp", "bubble-tree"
+    # (directions + assignments) and "hierarchy"
+    times: Dict[str, float]
 
 
 # --------------------------------------------------------------------- APSP
-def check_dissimilarity(D: np.ndarray, shape: Tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless ``D`` has ``shape``, that of ``S``: a
-    smaller ``D`` would fail on an edge index and a larger one give the
-    weights of another block."""
-    if np.shape(D) != tuple(shape):
-        raise ValueError(f"D must have the shape of S, {tuple(shape)}; "
-                         f"got {np.shape(D)}")
-
-
-def tmfg_apsp(D: np.ndarray, t: TMFGResult) -> np.ndarray:
-    """All-pairs shortest paths over the TMFG with dissimilarity weights.
-
-    ``D`` must be ``(t.n, t.n)``, the shape of the TMFG's ``S``; its edge
-    entries are the weights."""
-    check_dissimilarity(D, (t.n, t.n))
-    w = D[t.edges[:, 0], t.edges[:, 1]]
-    return shortest_paths.apsp(t.n, t.edges, w)
+def tmfg_apsp(n: int, edges: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The driver APSP stage: all-pairs shortest paths over the filtered
+    graph's ``edges`` (a TMFG's or a PMFG's) under the weights ``w``."""
+    return shortest_paths.apsp(n, edges, w)
 
 
 # --------------------------------------------------- vertex assignment (4-23)
@@ -133,7 +127,7 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
                     dist: np.ndarray) -> Assignments:
     """Lines 4-23 of Algorithm 4: group and bubble assignment on any bubble
     tree (a TMFG's, or a ``PlanarBubbleTree`` of a PMFG), directing its
-    edges with the tree's own ``compute_directions`` if not yet done.
+    edges for this ``S`` with the tree's own ``compute_directions``.
 
     Every (vertex, bubble) pair is scored at once, as the paper's
     WRITEMAX/WRITEMIN do; the decisions are those of the per-vertex
@@ -153,8 +147,7 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
     or have its argmax flipped (constant or length-1 series give such an
     ``S``).
     """
-    if tree.down is None:
-        tree.compute_directions(S, edges)
+    down = tree.compute_directions(S, edges)
     n = S.shape[0]
     every = np.arange(tree.n_bubbles())
     denom = np.empty(len(every))
@@ -168,7 +161,7 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
         pair_b.append(np.repeat(ids, V.shape[1]))
     if (denom <= 0).any():
         raise ValueError("bubble similarity sums must be positive for chi'")
-    cvg = tree.converging_bubbles()
+    cvg = tree.converging_bubbles(down)
 
     # chi(v, b) = sum_{u in b} w(u, v) / (3(|b| - 2)): v's similarity to
     # the rest of b over b's edge count (6 on a 4-clique), for the vertices
@@ -196,7 +189,7 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
         pv, pb = np.concatenate(pair_v), np.concatenate(pair_b)
         on = row[pv] >= 0
         rows, bubbles = row[pv[on]], pb[on]
-        reach = tree.reachable_converging()  # (n_bubbles, n_cvg) bool
+        reach = tree.reachable_converging(down)  # (n_bubbles, n_cvg) bool
         # ok[r, k]: some bubble holding rest[r] reaches the k-th converging
         # bubble, whose V_b^0 is non-empty
         ok = np.zeros((len(rest), len(cvg)), dtype=bool)
@@ -288,9 +281,28 @@ def build_hierarchy(assign: Assignments, dist: np.ndarray) -> Dendrogram:
 
 
 # ------------------------------------------------------------------ end2end
-def dbht(S: np.ndarray, D: np.ndarray, t: TMFGResult) -> DBHTResult:
-    """Full DBHT on a TMFG: APSP, directions, assignments, hierarchy."""
-    dist = tmfg_apsp(D, t)
-    assign = assign_vertices(S, t.tree, t.edges, dist)
+def dbht(S: np.ndarray, D: np.ndarray, tree: BubbleTree, edges: np.ndarray,
+         apsp: Optional[Callable] = None) -> DBHTResult:
+    """Full DBHT on the bubble ``tree`` of the filtered graph ``edges``:
+    APSP, directions, assignments, hierarchy, each step timed.
+
+    ``D`` must have the shape of ``S``, else ``ValueError``: a smaller
+    ``D`` would fail on an edge index and a larger one give the weights of
+    another block. ``apsp(n, edges, w)`` computes the distances;
+    ``tmfg_apsp`` on the driver by default."""
+    if np.shape(D) != np.shape(S):
+        raise ValueError(f"D must have the shape of S, {np.shape(S)}; "
+                         f"got {np.shape(D)}")
+    w = D[edges[:, 0], edges[:, 1]]
+    t0 = time.monotonic()
+    # the default is read from the module when called, so a rebinding of
+    # tmfg_apsp (a tracer's wrapper) takes effect
+    dist = (apsp or tmfg_apsp)(len(S), edges, w)
+    t1 = time.monotonic()
+    assign = assign_vertices(S, tree, edges, dist)
+    t2 = time.monotonic()
     dendro = build_hierarchy(assign, dist)
-    return DBHTResult(dendrogram=dendro, assignments=assign, apsp=dist)
+    times = {"apsp": t1 - t0, "bubble-tree": t2 - t1,
+             "hierarchy": time.monotonic() - t2}
+    return DBHTResult(dendrogram=dendro, assignments=assign, apsp=dist,
+                      times=times)

@@ -21,8 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dbht import DBHTResult, assign_vertices, build_hierarchy
-from repro.graphs import shortest_paths
+from repro.core.dbht import DBHTResult, dbht
 from repro.graphs.bubble_tree import BubbleTree
 
 
@@ -102,7 +101,6 @@ class PlanarBubbleTree(BubbleTree):
             outval = sum(S[x, u] for x in tri for u in adj[x]
                          if u not in interior and u not in tri)
             down[b] = inval > outval
-        self.down = down
         return down
 
 
@@ -171,11 +169,6 @@ def planar_bubble_tree(n: int, edges: np.ndarray) -> PlanarBubbleTree:
 
 def dbht_on_planar_graph(S: np.ndarray, D: np.ndarray,
                          edges: np.ndarray) -> DBHTResult:
-    """Full original-style DBHT on any maximal planar graph (PMFG-DBHT)."""
-    n = S.shape[0]
-    tree = planar_bubble_tree(n, edges)
-    w = D[edges[:, 0], edges[:, 1]]
-    dist = shortest_paths.apsp(n, edges, w)
-    assign = assign_vertices(S, tree, edges, dist)
-    dendro = build_hierarchy(assign, dist)
-    return DBHTResult(dendrogram=dendro, assignments=assign, apsp=dist)
+    """Full original-style DBHT on any maximal planar graph (PMFG-DBHT).
+    ``D`` must have the shape of ``S``, else ``ValueError``."""
+    return dbht(S, D, planar_bubble_tree(S.shape[0], edges), edges)

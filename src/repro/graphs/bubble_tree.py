@@ -46,9 +46,6 @@ class BubbleTree:
     root: int = 0
     outer_face: int = -1  # face id managed by the TMFG builder
     face_bubble: Dict[int, int] = field(default_factory=dict)
-    # directions, filled by compute_directions(): for non-root b,
-    # down[b] == True means the tree edge is directed parent[b] -> b.
-    down: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -130,10 +127,11 @@ class BubbleTree:
         """Algorithm 3: direct every tree edge in Theta(n) work.
 
         ``S`` is the similarity matrix, ``edges`` the TMFG edge list (used
-        for weighted degrees). Sets and returns ``self.down``: for each
-        non-root bubble ``b``, ``down[b]`` is True iff the edge is directed
-        ``parent[b] -> b`` (i.e. INVAL > OUTVAL for the separating
-        triangle). Entries for the root are False and unused.
+        for weighted degrees). Returns ``down``: for each non-root bubble
+        ``b``, ``down[b]`` is True iff the edge is directed ``parent[b] ->
+        b`` (i.e. INVAL > OUTVAL for the separating triangle). The entry
+        for the root is False and unused. Nothing is stored on the tree,
+        so each ``S`` gets its own directions.
         """
         n_b = self.n_bubbles()
         # weighted degrees: each vertex adds its edges' weights in edge
@@ -166,32 +164,25 @@ class BubbleTree:
             )
             down[b] = inval > outval
         # the root consumes nothing; its children's r values feed no one else
-        self.down = down
         return down
 
-    def out_degrees(self) -> np.ndarray:
-        """Out-degree of each bubble node in the directed bubble tree."""
-        if self.down is None:
-            raise RuntimeError("call compute_directions first")
-        out = np.zeros(self.n_bubbles(), dtype=np.int64)
-        for b in range(self.n_bubbles()):
-            p = self.parent[b]
-            if p == -1:
-                continue
-            if self.down[b]:
-                out[p] += 1  # arrow parent -> b leaves parent
-            else:
-                out[b] += 1  # arrow b -> parent leaves b
-        return out
+    def out_degrees(self, down: np.ndarray) -> np.ndarray:
+        """Out-degree of each bubble node in the tree directed by ``down``:
+        an edge leaves the parent if it points down, else the child."""
+        parent = np.asarray(self.parent)
+        b = np.flatnonzero(parent != -1)
+        return np.bincount(np.where(down[b], parent[b], b),
+                           minlength=self.n_bubbles())
 
-    def converging_bubbles(self) -> np.ndarray:
-        """Bubble ids with out-degree zero, ascending."""
-        return np.flatnonzero(self.out_degrees() == 0)
+    def converging_bubbles(self, down: np.ndarray) -> np.ndarray:
+        """Bubble ids with out-degree zero under ``down``, ascending."""
+        return np.flatnonzero(self.out_degrees(down) == 0)
 
-    def reachable_converging(self) -> np.ndarray:
+    def reachable_converging(self, down: np.ndarray) -> np.ndarray:
         """Boolean matrix ``R[b, k]``: bubble ``b`` can reach the ``k``-th
-        converging bubble (in ``converging_bubbles()`` order) by following
-        directed tree edges (the per-bubble search of Algorithm 4).
+        converging bubble (in ``converging_bubbles(down)`` order) by
+        following the tree edges as ``down`` directs them (the per-bubble
+        search of Algorithm 4).
 
         Two passes over the rooted tree: deepest first, a parent whose edge
         points down to ``b`` reaches all that ``b`` reaches below it; then
@@ -199,14 +190,14 @@ class BubbleTree:
         reaches. A walk on a tree never returns through the edge it left
         by, so these are all the walks.
         """
-        cvg = self.converging_bubbles()  # raises before compute_directions
+        cvg = self.converging_bubbles(down)
         R = np.zeros((self.n_bubbles(), len(cvg)), dtype=bool)
         R[cvg, np.arange(len(cvg))] = True
         order = np.argsort(-self.depths(), kind="stable")  # deepest first
         for b in order:
-            if self.down[b]:  # False at the root
+            if down[b]:  # False at the root
                 R[self.parent[b]] |= R[b]
         for b in order[::-1]:
-            if self.parent[b] != -1 and not self.down[b]:
+            if self.parent[b] != -1 and not down[b]:
                 R[b] |= R[self.parent[b]]
         return R

@@ -10,9 +10,11 @@ keys: ``tmfg``, ``apsp``, ``bubble-tree`` (directions + assignments) and
 
 Every other step is the same driver code in both. The TMFG is
 ``repro.core.tmfg.tmfg``: a Spark round costs more job latency than a
-whole driver TMFG (EXPERIMENTS.md, TMFG placement). Vertex assignment and
-the three-level linkage (Algorithm 4) are ``repro.core.dbht``: their Spark
-versions lost at every size measured (EXPERIMENTS.md, DBHT placement).
+whole driver TMFG (EXPERIMENTS.md, TMFG placement). Then both call
+``repro.core.dbht.dbht`` for APSP, vertex assignment and the three-level
+linkage (Algorithm 4); PAR-TDBHT passes it the Spark APSP stage. The
+assignment and linkage stay on the driver: their Spark versions lost at
+every size measured (EXPERIMENTS.md, DBHT placement).
 
 ``partitions`` throttles available parallelism (tasks <= partitions in
 local mode), standing in for the paper's thread-count knob in the
@@ -20,15 +22,15 @@ scalability experiment (Figure 4) — see DESIGN.md substitutions.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.dbht import (DBHTResult, assign_vertices, build_hierarchy,
-                             check_dissimilarity, tmfg_apsp)
+from repro.core.dbht import DBHTResult, dbht
 from repro.core.tmfg import TMFGResult, tmfg
 from repro.spark.apsp_spark import apsp_matrix_spark
 
@@ -46,24 +48,14 @@ class TimedRun:
         return sum(self.times.values())
 
 
-def _timed(times: Dict[str, float], step: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with its wall time stored as ``times[step]``."""
+def _tdbht(S: np.ndarray, D: np.ndarray, prefix: int,
+           apsp: Optional[Callable] = None) -> TimedRun:
+    """The TMFG on the driver, then ``dbht`` with the APSP stage ``apsp``."""
     t0 = time.monotonic()
-    out = fn(*args, **kwargs)
-    times[step] = time.monotonic() - t0
-    return out
-
-
-def _dbht_steps(S: np.ndarray, t: TMFGResult, dist: np.ndarray,
-                times: Dict[str, float]) -> TimedRun:
-    """The steps after APSP, the same in both pipelines: vertex assignment
-    and hierarchy on the driver."""
-    assign = _timed(times, "bubble-tree", assign_vertices, S, t.tree, t.edges,
-                    dist)
-    dendro = _timed(times, "hierarchy", build_hierarchy, assign, dist)
-    return TimedRun(tmfg=t, result=DBHTResult(dendrogram=dendro,
-                                              assignments=assign, apsp=dist),
-                    times=times)
+    t = tmfg(S, prefix=prefix)
+    tmfg_s = time.monotonic() - t0
+    res = dbht(S, D, t.tree, t.edges, apsp=apsp)
+    return TimedRun(tmfg=t, result=res, times={"tmfg": tmfg_s, **res.times})
 
 
 def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
@@ -77,20 +69,11 @@ def par_tdbht(spark: SparkSession, S: np.ndarray, D: np.ndarray,
     if spark_tmfg:
         raise ValueError("spark_tmfg=True is not supported: par_tdbht "
                          "builds the TMFG on the driver")
-    check_dissimilarity(D, np.shape(S))
-    times: Dict[str, float] = {}
-    t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
-    w = D[t.edges[:, 0], t.edges[:, 1]]
-    dist = _timed(times, "apsp", apsp_matrix_spark, spark, t.n, t.edges, w,
-                  partitions=partitions)
-    return _dbht_steps(S, t, dist, times)
+    return _tdbht(S, D, prefix, functools.partial(
+        apsp_matrix_spark, spark, partitions=partitions))
 
 
 def seq_tdbht(S: np.ndarray, D: np.ndarray, prefix: int = 1) -> TimedRun:
     """Sequential TMFG + DBHT on the driver (SEQ-TDBHT analog). ``D``
     must have the shape of ``S``, else ``ValueError``."""
-    check_dissimilarity(D, np.shape(S))
-    times: Dict[str, float] = {}
-    t = _timed(times, "tmfg", tmfg, S, prefix=prefix)
-    dist = _timed(times, "apsp", tmfg_apsp, D, t)
-    return _dbht_steps(S, t, dist, times)
+    return _tdbht(S, D, prefix)

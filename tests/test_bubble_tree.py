@@ -158,28 +158,34 @@ class TestDirections:
     @pytest.mark.parametrize("n,seed,prefix", CASES[:3])
     def test_converging_bubbles_exist(self, n, seed, prefix):
         S, t = build_tmfg(n, seed, prefix)
-        t.tree.compute_directions(S, t.edges)
-        cvg = t.tree.converging_bubbles()
+        down = t.tree.compute_directions(S, t.edges)
+        cvg = t.tree.converging_bubbles(down)
         assert len(cvg) >= 1
-        out = t.tree.out_degrees()
+        out = t.tree.out_degrees(down)
         assert np.all(out[cvg] == 0)
         # total out-degrees == number of tree edges
         assert out.sum() == t.tree.n_bubbles() - 1
+        # each edge leaves the parent if it points down, else the child
+        expected = [0] * t.tree.n_bubbles()
+        for b, p in enumerate(t.tree.parent):
+            if p != -1:
+                expected[p if down[b] else b] += 1
+        assert out.tolist() == expected
 
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_reachability_vs_brute_force(self, n, seed, prefix):
         S, t = build_tmfg(n, seed, prefix)
         tree = t.tree
-        tree.compute_directions(S, t.edges)
-        R = tree.reachable_converging()
-        cvg = tree.converging_bubbles()
+        down = tree.compute_directions(S, t.edges)
+        R = tree.reachable_converging(down)
+        cvg = tree.converging_bubbles(down)
         # brute force: follow directed edges exhaustively from each node
         succ = [[] for _ in range(tree.n_bubbles())]
         for b in range(tree.n_bubbles()):
             p = tree.parent[b]
             if p == -1:
                 continue
-            if tree.down[b]:
+            if down[b]:
                 succ[p].append(b)
             else:
                 succ[b].append(p)
@@ -198,12 +204,11 @@ class TestDirections:
 
     def test_every_node_reaches_a_converging_bubble(self):
         S, t = build_tmfg(50, 9, 5)
-        t.tree.compute_directions(S, t.edges)
-        R = t.tree.reachable_converging()
+        R = t.tree.reachable_converging(t.tree.compute_directions(S, t.edges))
         assert np.all(R.sum(axis=1) >= 1)
 
     def test_single_bubble_tree(self):
         S, t = build_tmfg(4, 0)
-        t.tree.compute_directions(S, t.edges)
-        assert t.tree.converging_bubbles().tolist() == [0]
-        assert t.tree.reachable_converging().tolist() == [[True]]
+        down = t.tree.compute_directions(S, t.edges)
+        assert t.tree.converging_bubbles(down).tolist() == [0]
+        assert t.tree.reachable_converging(down).tolist() == [[True]]

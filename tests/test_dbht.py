@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dbht import assign_vertices, build_hierarchy, dbht, tmfg_apsp
-from repro.core.generic_dbht import planar_bubble_tree
+from repro.core.generic_dbht import dbht_on_planar_graph, planar_bubble_tree
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
@@ -25,6 +25,23 @@ def rand_sim(n, seed):
 def make_case(n, seed, prefix=1):
     S, D = rand_sim(n, seed)
     return S, D, tmfg(S, prefix=prefix)
+
+
+def tmfg_dist(D, t):
+    """Shortest-path distances over the TMFG ``t`` under the weights ``D``."""
+    return tmfg_apsp(t.n, t.edges, D[t.edges[:, 0], t.edges[:, 1]])
+
+
+class DirectedTree(BubbleTree):
+    """A hand-built bubble tree whose edge directions are given, not
+    computed from ``S``: ``down[b]`` means the edge ``parent[b] -> b``."""
+
+    def __init__(self, down, **fields):
+        super().__init__(**fields)
+        self.given = np.asarray(down)
+
+    def compute_directions(self, S, edges):
+        return self.given
 
 
 CASES = [(8, 0, 1), (15, 1, 1), (30, 2, 4), (60, 3, 8)]
@@ -59,7 +76,7 @@ def tie_case(name):
       lowered by 3e-9, so bubble 2 wins each by about 1e-9, which a
       coarser rounding would call a tie.
     """
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6)],
         parent=[-1, 0, 0, 0], children=[[1, 2, 3], [], [], []],
         sep_triangle=[None, (0, 1, 2), (0, 1, 3), (0, 2, 3)], root=0,
@@ -86,7 +103,7 @@ def fallback_case():
     5 = (2,3,5,8), where their similarities are 0.9 rather than 0.5.
     Vertex 6, only in bubble 3 = (1,2,3,6), reaches just the root, so its
     L-bar candidates fall back to bubbles 4 and 5; it is nearer to 5."""
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 2, 3, 5), (1, 2, 3, 6),
                  (0, 1, 4, 7), (2, 3, 5, 8)],
         parent=[-1, 0, 0, 0, 1, 2], children=[[1, 2, 3], [4], [5], [], [], []],
@@ -111,7 +128,7 @@ def any_bubble_case():
     bubbles, {1, 3}, and it goes to 3 (mean distance 1.5 against 2.0). The
     bubbles reached from every one of its bubbles, or from its first,
     give {1}; all converging bubbles would give 5 (mean distance 1.0)."""
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 5, 6),
                  (0, 2, 4, 7), (2, 4, 7, 8)],
         parent=[-1, 0, 0, 2, 1, 4], children=[[1, 2], [4], [3], [], [5], []],
@@ -132,7 +149,7 @@ def frozen_v0_case():
     from {3,5} and 1.0 from {0,1,2,4}, so it goes to 2 too; had V^0_2 taken
     in vertex 6 (distance 2.0 from 7), its mean would be 1.2 and 7 would go
     to 1."""
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6),
                  (0, 2, 6, 7)],
         parent=[-1, 0, 0, 0, 3], children=[[1, 2, 3], [], [], [4], []],
@@ -154,7 +171,7 @@ def round_half_case():
     float64 score, which ``round`` does as ``np.round``: x goes to
     0.591846890072 and bubble 1 wins. ``round`` on the Python float x
     gives 0.591846890073, a tie that bubble 0 would win."""
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3), (0, 1, 2, 4)], parent=[-1, 0],
         children=[[1], []], sep_triangle=[None, (0, 1, 2)], root=0,
         down=np.array([False, True]))
@@ -186,7 +203,7 @@ def pairwise_mean_case():
     2.959159655104 instead. Their distance from all of bubble 2's V^0 is
     2.959159655104, so both go to bubble 2; either of those changes makes
     a tie that bubble 1 wins."""
-    tree = BubbleTree(
+    tree = DirectedTree(
         bubbles=[(0, 1, 2, 3, 4), (0, 1, 2, *range(5, 14)), (0, 1, 2, 14)],
         parent=[-1, 0, 0], children=[[1, 2], [], []],
         sep_triangle=[None, (0, 1, 2), (0, 1, 2)], root=0,
@@ -267,14 +284,14 @@ def lbar_case(build, n, seed, prefix):
     if build in HAND_CASES:
         return hand_case(build)
     S, D, t = build(n, seed, prefix)
-    return S, t.tree, t.edges, tmfg_apsp(D, t)
+    return S, t.tree, t.edges, tmfg_dist(D, t)
 
 
 class TestAssignments:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_groups_are_converging_bubbles(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
-        dist = tmfg_apsp(D, t)
+        dist = tmfg_dist(D, t)
         a = assign_vertices(S, t.tree, t.edges, dist)
         cvg = set(int(b) for b in a.converging)
         assert set(np.unique(a.group)) <= cvg
@@ -283,7 +300,7 @@ class TestAssignments:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_bubble_contains_vertex(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
-        dist = tmfg_apsp(D, t)
+        dist = tmfg_dist(D, t)
         a = assign_vertices(S, t.tree, t.edges, dist)
         for v in range(n):
             assert v in t.tree.bubbles[a.bubble[v]]
@@ -323,7 +340,7 @@ class TestAssignments:
         (2/10 < 1.25/6) or a sum that counts S[1,1] (3/9 < 2.25/6) would
         flip."""
         S = sym(7, 1.0, 0.5, {(1, 3): 0.375, (1, 6): 0.375})
-        tree = BubbleTree(
+        tree = DirectedTree(
             bubbles=[(0, 1, 2, 3), (0, 1, 2, 4, 5), (0, 1, 3, 6)],
             parent=[-1, 0, 0], children=[[1, 2], [], []],
             sep_triangle=[None, (0, 1, 2), (0, 1, 3)], root=0,
@@ -375,7 +392,7 @@ class TestAssignments:
         n = len(S)
         cvg = [int(b) for b in a.converging]
         mem = tree.vertex_memberships(n)
-        R = tree.reachable_converging()
+        R = tree.reachable_converging(tree.compute_directions(S, edges))
         chi_pass = {v for b in cvg for v in tree.bubbles[b]}
         vb0 = {b: sorted(u for u in chi_pass if a.group[u] == b) for b in cvg}
         nonempty = [b for b in cvg if vb0[b]]
@@ -405,11 +422,30 @@ class TestAssignments:
         D = np.sqrt(2.0 * (1.0 - S))
         t = tmfg(S)
         with pytest.raises(ValueError, match="chi'"):
-            assign_vertices(S, t.tree, t.edges, tmfg_apsp(D, t))
+            assign_vertices(S, t.tree, t.edges, tmfg_dist(D, t))
+
+    def test_directions_follow_each_S(self):
+        """A tree is directed anew for every ``S``: assigning on
+        ECG5000-lite's TMFG tree with ``S`` and then with the ``S2`` of
+        noisier series gives what a fresh copy of the tree gives for
+        ``S2``. Directions kept from ``S`` give 7 converging bubbles
+        instead of 9 and move 140 of the 334 groups."""
+        ds = load_ucr_lite(6, seed=0)
+        S, D = correlation_matrices(ds.X)
+        noise = np.random.default_rng(0).standard_normal(ds.X.shape)
+        S2, D2 = correlation_matrices(ds.X + 1.5 * noise)
+        t = tmfg(S, prefix=1)
+        dist2 = tmfg_dist(D2, t)
+        assign_vertices(S, t.tree, t.edges, tmfg_dist(D, t))
+        again = assign_vertices(S2, t.tree, t.edges, dist2)
+        fresh = assign_vertices(S2, tmfg(S, prefix=1).tree, t.edges, dist2)
+        assert np.array_equal(again.converging, fresh.converging)
+        assert np.array_equal(again.group, fresh.group)
+        assert np.array_equal(again.bubble, fresh.bubble)
 
     def test_deterministic(self):
         S, D, t = make_case(40, 4, 5)
-        dist = tmfg_apsp(D, t)
+        dist = tmfg_dist(D, t)
         a1 = assign_vertices(S, t.tree, t.edges, dist)
         a2 = assign_vertices(S, t.tree, t.edges, dist)
         assert np.array_equal(a1.group, a2.group)
@@ -420,7 +456,7 @@ class TestHierarchy:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_valid_full_dendrogram(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         res.dendrogram.validate()
         assert res.dendrogram.n_leaves == n
 
@@ -429,7 +465,7 @@ class TestHierarchy:
         """Within each group the internal node heights are exactly
         {1/(n_b-1), ..., 1/2, 1} (Section V-D, Aste height assignment)."""
         S, D, t = make_case(n, seed, prefix)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         dendro = res.dendrogram
         groups = np.unique(res.assignments.group)
         heights_in_unit = sorted(
@@ -446,7 +482,7 @@ class TestHierarchy:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_top_heights_are_converging_counts(self, n, seed, prefix):
         S, D, t = make_case(n, seed, prefix)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         n_groups = len(np.unique(res.assignments.group))
         top = sorted(h for h in res.dendrogram.merges[:, 2] if h > 1.0 + 1e-12)
         assert len(top) == max(0, n_groups - 1)
@@ -458,7 +494,7 @@ class TestHierarchy:
         """Cutting just below the inter-group level yields the group
         partition itself."""
         S, D, t = make_case(50, 5, 4)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         n_groups = len(np.unique(res.assignments.group))
         if n_groups > 1:
             labels = res.dendrogram.cut_k(n_groups)
@@ -479,7 +515,7 @@ class TestHierarchy:
             ds = load_ucr_lite(17 if case == "crop-lite" else 6, seed=0)
             S, D = correlation_matrices(ds.X)
             t = tmfg(S, prefix=1)
-            tree, edges, dist = t.tree, t.edges, tmfg_apsp(D, t)
+            tree, edges, dist = t.tree, t.edges, tmfg_dist(D, t)
         dist_t = np.ascontiguousarray(dist.T)
         assert not np.array_equal(dist, dist_t)
         a = assign_vertices(S, tree, edges, dist)
@@ -496,7 +532,7 @@ class TestEndToEnd:
                                   outlier_frac=0.0, seed=0)
         S, D = correlation_matrices(ds.X)
         t = tmfg(S, prefix=1)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         labels = res.dendrogram.cut_k(4)
         assert ari(ds.y, labels) > 0.8
 
@@ -504,21 +540,25 @@ class TestEndToEnd:
     def test_prefix_variants_all_valid(self, prefix):
         ds = latent_curve_dataset("med", 70, 80, 3, noise=0.8, seed=1)
         S, D = correlation_matrices(ds.X)
-        res = dbht(S, D, tmfg(S, prefix=prefix))
+        t = tmfg(S, prefix=prefix)
+        res = dbht(S, D, t.tree, t.edges)
         res.dendrogram.validate()
         labels = res.dendrogram.cut_k(3)
         assert len(np.unique(labels)) == 3
 
     @pytest.mark.parametrize("shape", [(39, 39), (41, 41), (40, 39)])
     def test_apsp_rejects_d_of_another_shape(self, shape):
-        """``D`` must have the shape of ``S``: a smaller one would fail on
-        an edge index, a larger one give another block's weights."""
+        """``D`` must have the shape of ``S``, on a TMFG tree and in
+        PMFG-DBHT: a smaller one would fail on an edge index, a larger one
+        give another block's weights."""
         S, D, t = make_case(40, 4)
         with pytest.raises(ValueError, match="shape of S"):
-            tmfg_apsp(np.ones(shape), t)
+            dbht(S, np.ones(shape), t.tree, t.edges)
+        with pytest.raises(ValueError, match="shape of S"):
+            dbht_on_planar_graph(S, np.ones(shape), pmfg(S))
 
     def test_n4_minimal(self):
         S, D, t = make_case(4, 0)
-        res = dbht(S, D, t)
+        res = dbht(S, D, t.tree, t.edges)
         res.dendrogram.validate()
         assert res.dendrogram.cut_k(2).shape == (4,)

@@ -92,7 +92,7 @@ class TestFullEquivalenceOnTMFG:
         S = rand_sim(n, seed)
         D = np.sqrt(2 * (1 - np.clip(S, -1, 1)))
         t = tmfg(S, prefix=prefix)
-        fast = dbht(S, D, t)
+        fast = dbht(S, D, t.tree, t.edges)
         gen_tree = planar_bubble_tree(n, t.edges)
         gen = dbht_on_planar_graph(S, D, t.edges)
 

@@ -4,9 +4,9 @@ breakdown keys match Figure 5's steps."""
 import numpy as np
 import pytest
 
+from repro.core import dbht as dbht_module
 from repro.core.metrics import ari
 from repro.datasets import correlation_matrices, latent_curve_dataset
-from repro.spark import pipeline
 from repro.spark.pipeline import par_tdbht, seq_tdbht
 
 
@@ -54,15 +54,15 @@ def test_par_equals_seq(spark, data, kind, prefix):
                               seq.result.assignments.group)
         assert np.array_equal(par.result.assignments.bubble,
                               seq.result.assignments.bubble)
-        assert np.allclose(par.result.dendrogram.merges,
-                           seq.result.dendrogram.merges)
+        assert np.array_equal(par.result.dendrogram.merges,
+                              seq.result.dendrogram.merges)
 
 
 @pytest.mark.parametrize("grow", [-1, 1])
 def test_d_of_another_shape_raises(spark, data, grow):
-    """Both pipelines reject a ``D`` whose shape is not ``S``'s before any
-    step runs: a smaller one would fail on an edge index, a larger one
-    silently give the weights of another block."""
+    """Both pipelines reject a ``D`` whose shape is not ``S``'s: a smaller
+    one would fail on an edge index, a larger one silently give the
+    weights of another block."""
     _, S, D = data
     n = len(S) + grow
     D = np.pad(D, (0, grow)) if grow > 0 else D[:n, :n]
@@ -91,7 +91,8 @@ def test_partitions_dont_change_result(spark, data):
     _, S, D = data
     a = par_tdbht(spark, S, D, prefix=8, partitions=2)
     b = par_tdbht(spark, S, D, prefix=8, partitions=12)
-    assert np.allclose(a.result.dendrogram.merges, b.result.dendrogram.merges)
+    assert np.array_equal(a.result.dendrogram.merges,
+                          b.result.dendrogram.merges)
 
 
 def test_driver_tmfg_runs_only_the_apsp_jobs(spark, data):
@@ -119,7 +120,7 @@ def test_failure_leaves_nothing_persisted(spark, data, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("assignment failed")
 
-    monkeypatch.setattr(pipeline, "assign_vertices", fail)
+    monkeypatch.setattr(dbht_module, "assign_vertices", fail)
     with pytest.raises(RuntimeError, match="assignment failed"):
         par_tdbht(spark, S, D, prefix=8)
     assert set(persisted().keys()) <= before
