@@ -10,15 +10,26 @@ sources.
 
 The kernel relaxes all sources at once. ``DT[v]`` holds the distances from
 every source to ``v``; a step sets ``DT[v]`` to the elementwise minimum of
-itself and ``DT[u] + w(u, v)`` over the neighbours ``u`` of ``v``, and
-sweeps of such steps alternate forward and backward over a vertex order
-until a sweep changes nothing. The order is the reverse of a min-degree
-elimination (a peeling of the graph). A TMFG is a planar 3-tree: each
-vertex joined three corners of a face, and peeling a degree-3 vertex
-leaves a planar 3-tree, so this order is an insertion order of the TMFG.
-The loop then stops after about four sweeps where vertex-id order needs
-tens (EXPERIMENTS.md, APSP sweep kernel). The order only sets the number
-of sweeps, not the result.
+itself and ``DT[u] + w(u, v)`` over neighbours ``u`` of ``v``. The vertex
+order is the reverse of a min-degree elimination (a peeling of the graph).
+A TMFG is a planar 3-tree: each vertex joined three corners of a face, and
+peeling a degree-3 vertex leaves a planar 3-tree, so this order is an
+insertion order of the TMFG. Sweeps of steps run first in peeling order,
+then alternate with insertion order, until a sweep other than the first
+changes nothing. Shortest paths on a TMFG run down toward earlier-inserted
+vertices and back up, so the loop stops after three sweeps, where
+insertion order first needs four and vertex-id order tens (EXPERIMENTS.md,
+APSP sweep kernel).
+
+In each sweep a vertex relaxes only from the neighbours that come before
+it in that sweep's order. From the second sweep on, the other steps change
+nothing: a neighbour ``u`` that comes after ``v`` in sweep k came before it
+in sweep k - 1, so ``v`` relaxed from ``u``'s row as that sweep left it,
+and ``u`` is not processed again until after ``v``. Each later sweep thus
+gives the state a sweep over all neighbours would, and one that changes
+nothing has reached the fixpoint of every step. The first sweep is not
+such a sweep: when the only source is the first-inserted vertex it changes
+nothing, which is why it never stops the loop.
 
 The result is bit-identical to per-source Dijkstra. Rounded addition is
 monotone (``a <= b`` gives ``fl(a + w) <= fl(b + w)``) and never goes below
@@ -26,7 +37,7 @@ monotone (``a <= b`` gives ``fl(a + w) <= fl(b + w)``) and never goes below
 float sum over paths: Dijkstra because its invariant holds in this
 arithmetic, a relaxation from ``inf`` because its fixpoint is reached by a
 path and is at most every path's sum. ``min`` is exact, so neither the
-neighbour order nor the sweep order changes a bit.
+neighbour order, the sweep order nor the skipped steps change a bit.
 """
 from __future__ import annotations
 
@@ -89,30 +100,45 @@ def apsp(n: int, edges: np.ndarray, weights: np.ndarray,
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise ValueError(f"sources must lie in [0, {n})")
 
-    # per-vertex neighbours and their edge weights, each edge both ways
+    # per-vertex neighbours and their edge weights, each edge both ways, the
+    # neighbours before the vertex in insertion order first
+    order = np.array(_elimination_order(n, edges), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     ends = np.concatenate([edges, edges[:, ::-1]])
     both = np.concatenate([weights, weights])
-    by_vertex = np.argsort(ends[:, 1], kind="stable")
+    later = rank[ends[:, 0]] > rank[ends[:, 1]]
+    by_vertex = np.lexsort((later, ends[:, 1]))
+    nbr, wgt = ends[by_vertex, 0], both[by_vertex, None]
     cuts = np.searchsorted(ends[by_vertex, 1], np.arange(n + 1))
-    nbr = [ends[by_vertex[a:b], 0] for a, b in zip(cuts[:-1], cuts[1:])]
-    wgt = [both[by_vertex[a:b], None] for a, b in zip(cuts[:-1], cuts[1:])]
+    mids = cuts[:-1] + np.bincount(ends[~later, 1], minlength=n)
+
+    def steps(vertices, starts, stops):
+        # a vertex with no such neighbour has nothing to relax (and an empty
+        # min raises)
+        return [(v, nbr[a:b], wgt[a:b])
+                for v, a, b in zip(vertices.tolist(), starts[vertices].tolist(),
+                                   stops[vertices].tolist()) if a < b]
+
+    # each vertex relaxes only from the neighbours already swept: peeling
+    # order from the later-inserted ones, insertion order from the earlier
+    sweeps = (steps(order[::-1], mids, cuts[1:]),
+              steps(order, cuts[:-1], mids))
 
     DT = np.full((n, len(sources)), np.inf)
     DT[sources, np.arange(len(sources))] = 0.0
-    # an isolated vertex has nothing to relax (and an empty min raises)
-    order = [v for v in _elimination_order(n, edges) if len(nbr[v])]
-    sweeps = (order, order[::-1])
-    # a sweep does at least a Bellman-Ford round, so n - 1 sweeps reach the
-    # fixpoint and one more confirms it; the cap leaves one to spare
-    for sweep in range(n + 1):
+    # sweep 0 alone may change nothing (a lone first-inserted source); every
+    # later sweep does at least a Bellman-Ford round, so sweeps 1..n-1 reach
+    # the fixpoint and sweep n confirms it (n = 0 still needs sweep 1)
+    for sweep in range(max(n, 1) + 1):
         changed = False
-        for v in sweeps[sweep % 2]:
-            cand = (DT[nbr[v]] + wgt[v]).min(axis=0)
+        for v, u, w in sweeps[sweep % 2]:
+            cand = (DT[u] + w).min(axis=0)
             row = DT[v]
             if not changed:
                 changed = bool((cand < row).any())
             np.minimum(row, cand, out=row)
-        if not changed:
+        if sweep and not changed:
             return DT.T
     raise RuntimeError(f"APSP relaxation did not converge in {n + 1} sweeps")
 

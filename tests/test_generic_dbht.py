@@ -115,7 +115,7 @@ class TestFullEquivalenceOnTMFG:
                 [to_fast[int(b)] for b in gen.assignments.converging])),
         )
         rebuilt = build_hierarchy(remapped, gen.apsp)
-        assert np.allclose(rebuilt.merges, fast.dendrogram.merges)
+        assert np.array_equal(rebuilt.merges, fast.dendrogram.merges)
 
 
 class TestPMFGDBHT:

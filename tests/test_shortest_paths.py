@@ -191,6 +191,18 @@ class TestBitIdentity:
         assert np.array_equal(apsp(80, t.edges, w, sources=sources),
                               self.reference(80, t.edges, w, sources))
 
+    def test_nonmetric_tmfg(self):
+        """Uniform random weights ignore the TMFG's correlation structure,
+        so shortest paths wind up and down the insertion order and the
+        loop needs 15 sweeps instead of 3."""
+        rng = np.random.default_rng(0)
+        S = rng.random((300, 300))
+        S = (S + S.T) / 2
+        t = tmfg(S)
+        w = rng.random(len(t.edges))
+        assert np.array_equal(apsp(300, t.edges, w),
+                              self.reference(300, t.edges, w))
+
     def test_scrambled_long_path(self):
         """A path with scrambled vertex ids, the order-adversarial case:
         sweeping in vertex-id order would need about n/2 sweeps."""
@@ -200,6 +212,37 @@ class TestBitIdentity:
         edges = np.column_stack([ids[:-1], ids[1:]])
         w = rng.random(n - 1)
         assert np.array_equal(apsp(n, edges, w), self.reference(n, edges, w))
+
+
+class TestSingleSources:
+    """Each source alone gives its row of the full matrix. With the
+    first-inserted vertex as the only source the first sweep changes
+    nothing, and the loop must not stop there."""
+
+    @staticmethod
+    def check_each_source(n, edges, w):
+        full = apsp(n, edges, w)
+        for s in range(n):
+            assert np.array_equal(apsp(n, edges, w, sources=[s])[0],
+                                  full[s]), f"source {s}"
+
+    def test_tmfg(self):
+        rng = np.random.default_rng(7)
+        S = rng.random((300, 300))
+        S = (S + S.T) / 2
+        t = tmfg(S)
+        self.check_each_source(300, t.edges,
+                               np.sqrt(2 * (1 - S[t.edges[:, 0],
+                                                  t.edges[:, 1]])))
+
+    def test_pmfg(self):
+        rng = np.random.default_rng(8)
+        S = rng.random((40, 40))
+        S = (S + S.T) / 2
+        np.fill_diagonal(S, 1.0)
+        edges = pmfg(S)
+        self.check_each_source(40, edges,
+                               np.sqrt(2 * (1 - S[edges[:, 0], edges[:, 1]])))
 
 
 class TestInputContract:
