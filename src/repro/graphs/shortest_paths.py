@@ -42,7 +42,7 @@ neighbour order, the sweep order nor the skipped steps change a bit.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 import numpy as np
 
@@ -141,18 +141,3 @@ def apsp(n: int, edges: np.ndarray, weights: np.ndarray,
         if sweep and not changed:
             return DT.T
     raise RuntimeError(f"APSP relaxation did not converge in {n + 1} sweeps")
-
-
-def bfs_levels(adj_unweighted: Dict[int, List[int]], src: int) -> Dict[int, int]:
-    """Unweighted BFS levels; used by tests to validate connectivity."""
-    level = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj_unweighted.get(u, []):
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return level

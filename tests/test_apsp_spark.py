@@ -95,34 +95,30 @@ def test_one_spark_job(spark, graph):
     assert info.numTasks == 4 and info.numCompletedTasks == 4
 
 
-def test_broadcast_released(spark, graph, monkeypatch):
-    """apsp_matrix_spark unpersists its edge broadcast, also when the
-    collect raises."""
+def test_no_broadcast(spark, graph, monkeypatch):
+    """The edges ship in the task closure: apsp_matrix_spark makes no
+    broadcast, so a failing collect leaves none to release and raises its
+    own error unchanged."""
     n, edges, w = graph
     sc = spark.sparkContext
-    made, released = [], []
+    made = []
     broadcast = sc.broadcast
 
     def spy(value):
-        b = broadcast(value)
-        unpersist = b.unpersist
-
-        def recorded(*args, **kwargs):
-            released.append(b)
-            unpersist(*args, **kwargs)
-
-        b.unpersist = recorded
-        made.append(b)
-        return b
+        made.append(value)
+        return broadcast(value)
 
     monkeypatch.setattr(sc, "broadcast", spy)
     apsp_matrix_spark(spark, n, edges, w)
-    assert len(made) == 1 and released == made
+    assert made == []
+
+    error = RuntimeError("collect failed")
 
     def fail(self):
-        raise RuntimeError("collect failed")
+        raise error
 
     monkeypatch.setattr(RDD, "collect", fail)
-    with pytest.raises(RuntimeError, match="collect failed"):
+    with pytest.raises(RuntimeError) as raised:
         apsp_matrix_spark(spark, n, edges, w)
-    assert len(made) == 2 and released == made
+    assert raised.value is error
+    assert made == []

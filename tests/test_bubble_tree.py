@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.tmfg import tmfg
-from repro.graphs.shortest_paths import bfs_levels
 
 
 def rand_sim(n, seed):
@@ -20,6 +19,18 @@ def build_tmfg(n, seed, prefix=1):
     S = rand_sim(n, seed)
     t = tmfg(S, prefix=prefix)
     return S, t
+
+
+def reachable(adj, start):
+    """Vertices reachable from ``start`` in the adjacency dict ``adj``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def subtree_vertices(tree, b):
@@ -118,7 +129,7 @@ class TestSeparationInvariant:
             adj_cut = {v: [w for w in ws if w not in tri]
                        for v, ws in adj.items() if v not in tri}
             start = next(iter(interior))
-            reached = set(bfs_levels(adj_cut, start))
+            reached = reachable(adj_cut, start)
             assert reached == interior, (
                 f"edge ({b},{p}): interior mismatch"
             )

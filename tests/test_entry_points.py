@@ -1,7 +1,7 @@
 """Every job script and benchmark module imports: a stale import of a
 deleted module fails here rather than at the next exhibit run. Only the
-modules are loaded; no ``main`` runs. Every module, attribute and source
-path that the docs name exists."""
+modules are loaded; no ``main`` runs. Every module, attribute, source path
+and job or benchmark script that the docs name exists."""
 import ast
 import glob
 import importlib.util
@@ -33,6 +33,7 @@ def test_imports(path):
 DOCS = ("README.md", "DESIGN.md", "PAPER.md")
 DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 PATH = re.compile(r"(?<![\w/.])(?:src/)?(repro/[\w/]+)\.py(?:::([\w.]+))?")
+SCRIPT = re.compile(r"(?<![\w/.])(?:jobs|benchmarks)/\w+\.py")
 
 
 def _module(name):
@@ -81,7 +82,8 @@ def _doc_texts():
 def test_doc_references_resolve():
     """Every backticked ``repro.x.y[.name]`` and every ``[src/]repro/...py``
     path (with its ``::name``, if any) in the docs and module docstrings
-    names a module or attribute that exists."""
+    names a module or attribute that exists, and every ``jobs/...py`` and
+    ``benchmarks/...py`` path names a file that exists."""
     stale = []
     for source, text in _doc_texts():
         for span in re.findall(r"`+([^`]+)`+", text):
@@ -93,4 +95,6 @@ def test_doc_references_resolve():
             if not (os.path.exists(os.path.join(ROOT, "src", path + ".py"))
                     and _resolves(f"{name}.{attr}" if attr else name)):
                 stale.append((source, m.group(0)))
+        stale += [(source, p) for p in SCRIPT.findall(text)
+                  if not os.path.exists(os.path.join(ROOT, p))]
     assert not stale, stale

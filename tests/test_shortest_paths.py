@@ -8,7 +8,7 @@ import pytest
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
 from repro.datasets import correlation_matrices, latent_curve_dataset
-from repro.graphs.shortest_paths import apsp, bfs_levels
+from repro.graphs.shortest_paths import apsp
 
 
 def floyd_warshall(n, edges, weights):
@@ -270,9 +270,3 @@ class TestInputContract:
     def test_source_out_of_range(self, bad):
         with pytest.raises(ValueError, match="sources"):
             apsp(4, self.edges, np.ones(3), sources=[0, bad])
-
-
-def test_bfs_levels():
-    adj = {0: [1, 2], 1: [0, 3], 2: [0], 3: [1], 4: []}
-    lv = bfs_levels(adj, 0)
-    assert lv == {0: 0, 1: 1, 2: 1, 3: 2}
