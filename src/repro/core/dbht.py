@@ -4,11 +4,10 @@ that runs these steps, on any bubble tree; only its APSP stage is
 swappable.
 
 Steps (Section V):
-  1. direct the bubble-tree edges with the tree's ``compute_directions``
-     (Algorithm 3 on a TMFG tree, the quadratic method on a
-     ``PlanarBubbleTree``), which returns the directions ``down`` for the
-     ``S`` at hand; the tree stores none, so a tree reused with another
-     ``S`` is directed anew;
+  1. direct the bubble-tree edges with ``BubbleTree.compute_directions``
+     (Algorithm 3, on a TMFG's tree and a PMFG's alike), which returns the
+     directions ``down`` for the ``S`` at hand; the tree stores none, so a
+     tree reused with another ``S`` is directed anew;
   2. find converging bubbles (out-degree 0) and, per bubble, the set of
      converging bubbles reachable along directed edges (two passes over
      the rooted tree, ``BubbleTree.reachable_converging(down)``);
@@ -77,15 +76,6 @@ def tmfg_apsp(n: int, edges: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------- vertex assignment (4-23)
-def _by_size(tree: BubbleTree, ids: np.ndarray):
-    """Yield ``(bubble ids of size k, (m, k) array of their vertices)`` for
-    each bubble size ``k`` among the bubbles ``ids``."""
-    sizes = np.array([len(tree.bubbles[b]) for b in ids], dtype=np.int64)
-    for k in np.unique(sizes):
-        sel = ids[sizes == k]
-        yield sel, np.array([tree.bubbles[b] for b in sel], dtype=np.int64)
-
-
 def _first_per_vertex(v: np.ndarray, key: np.ndarray,
                       b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Over the entries ``(v[i], key[i], b[i])``: each distinct vertex
@@ -109,7 +99,7 @@ def _best_attachment(S: np.ndarray, tree: BubbleTree, ids: np.ndarray,
     float64; it differs from ``round`` on a Python float for about 1 in
     10^4 doubles."""
     vs, scores, bs = [], [], []
-    for sel, V in _by_size(tree, ids):
+    for sel, V in tree.by_size(ids):
         k = V.shape[1]
         for p in range(k):
             others = [q for q in range(k) if q != p]
@@ -126,8 +116,8 @@ def _best_attachment(S: np.ndarray, tree: BubbleTree, ids: np.ndarray,
 def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
                     dist: np.ndarray) -> Assignments:
     """Lines 4-23 of Algorithm 4: group and bubble assignment on any bubble
-    tree (a TMFG's, or a ``PlanarBubbleTree`` of a PMFG), directing its
-    edges for this ``S`` with the tree's own ``compute_directions``.
+    tree (a TMFG's, or the one ``planar_bubble_tree`` detects in a PMFG),
+    directing its edges for this ``S`` with ``tree.compute_directions``.
 
     Every (vertex, bubble) pair is scored at once, as the paper's
     WRITEMAX/WRITEMIN do; the decisions are those of the per-vertex
@@ -152,7 +142,7 @@ def assign_vertices(S: np.ndarray, tree: BubbleTree, edges: np.ndarray,
     every = np.arange(tree.n_bubbles())
     denom = np.empty(len(every))
     pair_v, pair_b = [], []  # (vertex, bubble) membership pairs
-    for ids, V in _by_size(tree, every):
+    for ids, V in tree.by_size(every):
         d = np.zeros(len(ids))
         for i, j in itertools.combinations(range(V.shape[1]), 2):
             d += S[V[:, i], V[:, j]]

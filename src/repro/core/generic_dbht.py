@@ -6,11 +6,9 @@ tree comes free with the construction, a PMFG's bubbles are detected from
 scratch — enumerate all triangles, test each for being separating (does
 removing its 3 vertices disconnect the graph?), cut the graph along every
 separating triangle, and connect pieces sharing a triangle. The result is
-a :class:`PlanarBubbleTree`, a ``BubbleTree`` whose edge directions come
-from the original quadratic method (per-edge BFS of interior vs exterior
-weight); converging bubbles and reachability are the TMFG tree's, and the
-vertex assignment and hierarchy are ``repro.core.dbht``'s, whose general
-formulas take bubbles of any size.
+a plain ``BubbleTree`` with bubbles of any size: its directions are
+Algorithm 3's, as on a TMFG, and the vertex assignment and hierarchy are
+``repro.core.dbht``'s, whose general formulas take bubbles of any size.
 
 For TMFG inputs this path must reproduce the TMFG path's bubble tree and
 assignments exactly — a test cross-validates that.
@@ -66,45 +64,7 @@ def _components(vertices: Set[int], adj: List[Set[int]],
     return comps
 
 
-class PlanarBubbleTree(BubbleTree):
-    """Bubble tree of an arbitrary maximal planar graph, detected from
-    scratch; bubbles are sorted vertex tuples of any size >= 4.
-
-    Only the edge directions differ from the TMFG tree: Algorithm 3's
-    linear accumulation needs the TMFG's invariant that an edge's subtree
-    lies inside its separating triangle, so this tree keeps the original
-    quadratic computation.
-    """
-
-    def subtree_vertices(self, b: int) -> Set[int]:
-        out: Set[int] = set()
-        stack = [b]
-        while stack:
-            x = stack.pop()
-            out.update(self.bubbles[x])
-            stack.extend(self.children[x])
-        return out
-
-    def compute_directions(self, S: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """Per tree edge, compare the triangle's edge weight into the
-        subtree's interior with the weight out of it (quadratic)."""
-        n = S.shape[0]
-        adj = _adjacency(n, edges)
-        down = np.zeros(self.n_bubbles(), dtype=bool)
-        for b in range(self.n_bubbles()):
-            p = self.parent[b]
-            if p == -1:
-                continue
-            tri = set(self.sep_triangle[b])
-            interior = self.subtree_vertices(b) - tri
-            inval = sum(S[x, u] for x in tri for u in adj[x] if u in interior)
-            outval = sum(S[x, u] for x in tri for u in adj[x]
-                         if u not in interior and u not in tri)
-            down[b] = inval > outval
-        return down
-
-
-def planar_bubble_tree(n: int, edges: np.ndarray) -> PlanarBubbleTree:
+def planar_bubble_tree(n: int, edges: np.ndarray) -> BubbleTree:
     """Detect bubbles of a maximal planar graph from scratch.
 
     Cut the vertex set along every separating triangle (each separates the
@@ -163,8 +123,8 @@ def planar_bubble_tree(n: int, edges: np.ndarray) -> PlanarBubbleTree:
                 queue.append(y)
     if not all(visited):
         raise ValueError("bubble adjacency is not connected")
-    return PlanarBubbleTree(bubbles=bubbles, parent=parent,
-                            children=children, sep_triangle=sep, root=0)
+    return BubbleTree(bubbles=bubbles, parent=parent, children=children,
+                      sep_triangle=sep, root=0)
 
 
 def dbht_on_planar_graph(S: np.ndarray, D: np.ndarray,

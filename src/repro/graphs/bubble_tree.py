@@ -1,19 +1,23 @@
-"""Bubble tree for TMFGs, built incrementally during construction.
+"""Bubble tree of a maximal planar graph (Algorithms 2 and 3).
 
 The paper's key structural insight (Section V-A): every TMFG vertex
 insertion creates exactly one bubble (the new 4-clique) and one bubble-tree
-edge (whose separating triangle is the face inserted into). Inserting into
-the *outer* face re-roots the tree. The resulting rooted tree satisfies the
-invariant that all descendants of an edge lie in the interior of the edge's
-separating triangle, which lets edge directions (Algorithm 3) be computed
-in Theta(n) total work by a bottom-up accumulation instead of the original
-per-triangle BFS (Theta(n^2)).
+edge (whose separating triangle is the face inserted into), so the TMFG
+builds its tree incrementally. Inserting into the *outer* face re-roots
+the tree. The PMFG baseline's tree is detected from scratch
+(``repro.core.generic_dbht.planar_bubble_tree``) and has bubbles of any
+size; both are this one ``BubbleTree``.
 
-The navigation after the directions (out-degrees, converging bubbles and
-the converging bubbles each bubble reaches, by one pass up and one down the
-rooted tree) holds on any bubble tree; the PMFG baseline's
-``repro.core.generic_dbht.PlanarBubbleTree`` inherits it and overrides
-only the directions.
+Edge directions (Algorithm 3) are computed in Theta(n) total work by a
+bottom-up accumulation of each separating triangle's weight into its
+subtree, instead of the original per-triangle BFS (Theta(n^2)). It holds
+on any bubble tree: a vertex's bubbles form a connected subtree and every
+edge lies inside some bubble, so each edge from a corner into the subtree
+is counted exactly once, in the bubble that holds it or below the one
+child whose triangle holds that corner. The navigation after the
+directions (out-degrees, converging bubbles and the converging bubbles
+each bubble reaches, by one pass up and one down the rooted tree) is
+shared too.
 """
 from __future__ import annotations
 
@@ -32,11 +36,13 @@ def _sorted_tri(t) -> Triangle:
 
 @dataclass
 class BubbleTree:
-    """Rooted undirected bubble tree, maintained during TMFG construction.
+    """Rooted undirected bubble tree.
 
-    Node ``i`` corresponds to the 4-clique created by the ``i``-th
+    Node ``i`` is the bubble ``bubbles[i]``, a sorted vertex tuple of any
+    size >= 4; in a TMFG's tree it is the 4-clique created by the ``i``-th
     insertion (node 0 is the initial 4-clique). ``sep_triangle[i]`` is the
-    separating triangle on the tree edge between ``i`` and ``parent[i]``.
+    sorted separating triangle on the tree edge between ``i`` and
+    ``parent[i]``.
     """
 
     bubbles: List[Tuple[int, ...]] = field(default_factory=list)
@@ -114,56 +120,67 @@ class BubbleTree:
                 stack.append(c)
         return d
 
-    def vertex_memberships(self, n_vertices: int) -> List[List[int]]:
-        """For each graph vertex, the bubbles containing it (sorted)."""
-        mem: List[List[int]] = [[] for _ in range(n_vertices)]
-        for b, verts in enumerate(self.bubbles):
-            for v in verts:
-                mem[v].append(b)
-        return mem
+    def by_size(self, ids: np.ndarray):
+        """Yield ``(bubble ids of size k, (m, k) array of their vertices)``
+        for each bubble size ``k`` among the bubbles ``ids``."""
+        sizes = np.array([len(self.bubbles[b]) for b in ids], dtype=np.int64)
+        for k in np.unique(sizes):
+            sel = ids[sizes == k]
+            yield sel, np.array([self.bubbles[b] for b in sel], dtype=np.int64)
 
     # ------------------------------------------------------------ directions
     def compute_directions(self, S: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Algorithm 3: direct every tree edge in Theta(n) work.
 
-        ``S`` is the similarity matrix, ``edges`` the TMFG edge list (used
-        for weighted degrees). Returns ``down``: for each non-root bubble
-        ``b``, ``down[b]`` is True iff the edge is directed ``parent[b] ->
-        b`` (i.e. INVAL > OUTVAL for the separating triangle). The entry
-        for the root is False and unused. Nothing is stored on the tree,
-        so each ``S`` gets its own directions.
+        ``S`` is the similarity matrix, ``edges`` the filtered graph's edge
+        list (for weighted degrees and adjacency). Returns ``down``: for
+        each non-root bubble ``b``, ``down[b]`` is True iff the edge is
+        directed ``parent[b] -> b`` (i.e. INVAL > OUTVAL for the separating
+        triangle, INVAL being the weight from its corners into the
+        subtree's other vertices). The entry for the root is False and
+        unused. Nothing is stored on the tree, so each ``S`` gets its own
+        directions.
         """
-        n_b = self.n_bubbles()
+        n, n_b = S.shape[0], self.n_bubbles()
         # weighted degrees: each vertex adds its edges' weights in edge
         # order, from 0.0, as a loop over the edges would
         w = S[edges[:, 0], edges[:, 1]]
-        deg = np.bincount(edges.ravel(), weights=np.repeat(w, 2),
-                          minlength=S.shape[0])
-        # r maps (bubble -> {corner: interior weight sum}); children first.
+        deg = np.bincount(edges.ravel(), weights=np.repeat(w, 2), minlength=n)
+        keys = np.sort(edges.min(axis=1) * n + edges.max(axis=1))
+        ids = np.flatnonzero(np.asarray(self.parent) != -1)
+        # the root's row is a placeholder, never read
+        tri = np.array([t or (0, 0, 0) for t in self.sep_triangle])
+        # r[b][j]: weight from corner j of b's triangle into b's subtree.
+        # b's own term adds S[c, u] left to right over b's members u off
+        # the triangle that are adjacent to the corner c (on a 4-clique,
+        # the one member left); the rest lies below the children whose
+        # triangles hold c (see the module docstring).
+        r = np.zeros((n_b, 3))
+        for sel, V in self.by_size(ids):
+            C = tri[sel]
+            U = V[(V[:, :, None] != C[:, None]).all(axis=2)]
+            C, U = C[:, :, None], U.reshape(len(sel), 1, -1)
+            key = np.minimum(C, U) * n + np.maximum(C, U)
+            pos = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            terms = np.where(keys[pos] == key, S[C, U], 0.0)
+            r[sel] = terms.cumsum(axis=2)[:, :, -1]  # left to right
+        r = r.tolist()
         order = np.argsort(-self.depths(), kind="stable")  # deepest first
-        r: List[Dict[int, float]] = [{} for _ in range(n_b)]
-        down = np.zeros(n_b, dtype=bool)
-        for b in order:
-            b = int(b)
+        for b in order.tolist():
             if self.parent[b] == -1:
                 continue
-            tri = self.sep_triangle[b]
-            v_rem = next(x for x in self.bubbles[b] if x not in tri)
-            rb = {c: float(S[c, v_rem]) for c in tri}
+            tb, rb = self.sep_triangle[b], r[b]
             for c_star in self.children[b]:
-                for corner, val in r[c_star].items():
-                    if corner in rb:
-                        rb[corner] += val
-            r[b] = rb
-            inval = sum(rb.values())
-            vx, vy, vz = tri
-            outval = (
-                deg[vx] + deg[vy] + deg[vz]
-                - inval
-                - 2.0 * (S[vx, vy] + S[vx, vz] + S[vy, vz])
-            )
-            down[b] = inval > outval
-        # the root consumes nothing; its children's r values feed no one else
+                for corner, val in zip(self.sep_triangle[c_star], r[c_star]):
+                    if corner in tb:
+                        rb[tb.index(corner)] += val
+        r = np.array(r)
+        inval = r[:, 0] + r[:, 1] + r[:, 2]
+        vx, vy, vz = tri.T
+        outval = (deg[vx] + deg[vy] + deg[vz] - inval
+                  - 2.0 * (S[vx, vy] + S[vx, vz] + S[vy, vz]))
+        down = np.zeros(n_b, dtype=bool)
+        down[ids] = inval[ids] > outval[ids]
         return down
 
     def out_degrees(self, down: np.ndarray) -> np.ndarray:

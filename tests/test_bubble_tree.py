@@ -1,10 +1,14 @@
 """Bubble tree tests: structural invariants, the separation invariant from
-Section V-A, and Algorithm 3 directions vs a brute-force BFS oracle that
-mirrors the *original* quadratic DBHT computation."""
+Section V-A, and Algorithm 3 directions, on TMFG and PMFG trees, vs a
+brute-force oracle that mirrors the *original* quadratic DBHT
+computation."""
 import numpy as np
 import pytest
 
+from repro.core.generic_dbht import planar_bubble_tree
+from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
+from repro.datasets import correlation_matrices, latent_curve_dataset
 
 
 def rand_sim(n, seed):
@@ -100,9 +104,9 @@ class TestStructure:
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_membership_covers_all_vertices(self, n, seed, prefix):
         _, t = build_tmfg(n, seed, prefix)
-        mem = t.tree.vertex_memberships(n)
-        assert all(len(m) >= 1 for m in mem)
-        assert sum(len(m) for m in mem) == 4 * (n - 3)
+        members = [v for b in t.tree.bubbles for v in b]
+        assert set(members) == set(range(n))
+        assert len(members) == 4 * (n - 3)
 
 
 class TestSeparationInvariant:
@@ -135,13 +139,12 @@ class TestSeparationInvariant:
             )
 
 
-def brute_force_directions(S, t):
+def brute_force_directions(S, tree, edges):
     """The original DBHT direction computation: per separating triangle,
     BFS to find interior/exterior, then sum connecting edge weights."""
-    tree = t.tree
-    n = t.n
+    n = S.shape[0]
     adj = {v: [] for v in range(n)}
-    for u, v in t.edges:
+    for u, v in edges:
         adj[int(u)].append(int(v))
         adj[int(v)].append(int(u))
     down = np.zeros(tree.n_bubbles(), dtype=bool)
@@ -158,13 +161,37 @@ def brute_force_directions(S, t):
     return down
 
 
+def direction_case(case):
+    """``(S, tree, edges)``: the TMFG tree of a ``CASES`` input, or the
+    tree detected in a PMFG (bubbles of more than 4 vertices): those of
+    ``test_generic_dbht.py::TestPMFGDBHT`` and one of 4 latent-curve
+    clusters."""
+    if case[0] != "pmfg":
+        S, t = build_tmfg(*case)
+        return S, t.tree, t.edges
+    if case[1] == "clustered":
+        ds = latent_curve_dataset("clustered", 60, 100, 4, noise=1.5,
+                                  shared=0.2, outlier_frac=0.0, seed=2)
+        S, _ = correlation_matrices(ds.X)
+    else:
+        S = rand_sim(*case[1:])
+    edges = pmfg(S)
+    tree = planar_bubble_tree(len(S), edges)
+    assert max(len(b) for b in tree.bubbles) > 4
+    return S, tree, edges
+
+
+DIRECTION_CASES = CASES + [("pmfg", 15, 0), ("pmfg", 30, 1),
+                           ("pmfg", "clustered")]
+DIRECTION_IDS = ["-".join(map(str, c)) for c in DIRECTION_CASES]
+
+
 class TestDirections:
-    @pytest.mark.parametrize("n,seed,prefix", CASES)
-    def test_matches_brute_force(self, n, seed, prefix):
-        S, t = build_tmfg(n, seed, prefix)
-        fast = t.tree.compute_directions(S, t.edges)
-        brute = brute_force_directions(S, t)
-        assert np.array_equal(fast, brute)
+    @pytest.mark.parametrize("case", DIRECTION_CASES, ids=DIRECTION_IDS)
+    def test_matches_brute_force(self, case):
+        S, tree, edges = direction_case(case)
+        fast = tree.compute_directions(S, edges)
+        assert np.array_equal(fast, brute_force_directions(S, tree, edges))
 
     @pytest.mark.parametrize("n,seed,prefix", CASES[:3])
     def test_converging_bubbles_exist(self, n, seed, prefix):

@@ -44,6 +44,16 @@ class DirectedTree(BubbleTree):
         return self.given
 
 
+def memberships(tree, n):
+    """For each of the ``n`` vertices, the bubbles of ``tree`` holding it
+    (ascending)."""
+    mem = [[] for _ in range(n)]
+    for b, verts in enumerate(tree.bubbles):
+        for v in verts:
+            mem[v].append(b)
+    return mem
+
+
 CASES = [(8, 0, 1), (15, 1, 1), (30, 2, 4), (60, 3, 8)]
 
 
@@ -314,7 +324,7 @@ class TestAssignments:
         a = assign_vertices(S, tree, edges, dist)
         cvg = [int(b) for b in a.converging]
         n = len(S)
-        mem = tree.vertex_memberships(n)
+        mem = memberships(tree, n)
         tied = 0
         for v in range(n):
             in_cvg = [b for b in mem[v] if b in cvg]
@@ -358,7 +368,7 @@ class TestAssignments:
         S, tree, edges, dist = tree_case(graph, n, seed, prefix)
         a = assign_vertices(S, tree, edges, dist)
         n = len(S)
-        mem = tree.vertex_memberships(n)
+        mem = memberships(tree, n)
         tied = 0
         for v in range(n):
             scores = {}
@@ -391,7 +401,7 @@ class TestAssignments:
         a = assign_vertices(S, tree, edges, dist)
         n = len(S)
         cvg = [int(b) for b in a.converging]
-        mem = tree.vertex_memberships(n)
+        mem = memberships(tree, n)
         R = tree.reachable_converging(tree.compute_directions(S, edges))
         chi_pass = {v for b in cvg for v in tree.bubbles[b]}
         vb0 = {b: sorted(u for u in chi_pass if a.group[u] == b) for b in cvg}

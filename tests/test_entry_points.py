@@ -1,8 +1,9 @@
 """Every job script and benchmark module imports: a stale import of a
 deleted module fails here rather than at the next exhibit run. Only the
-modules are loaded; no ``main`` runs. Every module, attribute, source path
-and job or benchmark script that the docs name exists."""
+modules are loaded; no ``main`` runs. Every module, attribute, class,
+source path and job or benchmark script that the docs name exists."""
 import ast
+import builtins
 import glob
 import importlib.util
 import os
@@ -34,6 +35,9 @@ DOCS = ("README.md", "DESIGN.md", "PAPER.md")
 DOTTED = re.compile(r"(?<![\w.])repro(?:\.\w+)+")
 PATH = re.compile(r"(?<![\w/.])(?:src/)?(repro/[\w/]+)\.py(?:::([\w.]+))?")
 SCRIPT = re.compile(r"(?<![\w/.])(?:jobs|benchmarks)/\w+\.py")
+# an inline code span: one or two backticks, not a ``` fence
+SPAN = re.compile(r"(?<!`)(`{1,2})([^`]+)\1(?!`)")
+WORD = re.compile(r"(?<![\w.])[A-Z]\w*")
 
 
 def _module(name):
@@ -64,6 +68,24 @@ def _resolves(name):
     return True
 
 
+def _camel(word):
+    """A CamelCase name: two capitals or more and a lower-case letter
+    (``BubbleTree``, not ``Sc``, ``S`` or ``RDD``)."""
+    return (sum(map(str.isupper, word)) >= 2
+            and any(map(str.islower, word)))
+
+
+def _repro_classes():
+    """The names of the classes defined in the ``src/repro`` modules."""
+    names = set()
+    for path in glob.glob(os.path.join(ROOT, "src/repro/**/*.py"),
+                          recursive=True):
+        with open(path) as f:
+            names.update(node.name for node in ast.walk(ast.parse(f.read()))
+                         if isinstance(node, ast.ClassDef))
+    return names
+
+
 def _doc_texts():
     """(source, text) for the project docs and every ``src/repro`` module
     docstring. CHANGES.md, ROADMAP.md and EXPERIMENTS.md are records of
@@ -82,10 +104,17 @@ def _doc_texts():
 def test_doc_references_resolve():
     """Every backticked ``repro.x.y[.name]`` and every ``[src/]repro/...py``
     path (with its ``::name``, if any) in the docs and module docstrings
-    names a module or attribute that exists, and every ``jobs/...py`` and
-    ``benchmarks/...py`` path names a file that exists."""
+    names a module or attribute that exists, every ``jobs/...py`` and
+    ``benchmarks/...py`` path names a file that exists, and every CamelCase
+    name in an inline code span is a Python builtin or a class defined in
+    ``src/repro``."""
+    classes = _repro_classes()
     stale = []
     for source, text in _doc_texts():
+        stale += [(source, w) for _, span in SPAN.findall(text)
+                  for w in WORD.findall(span)
+                  if _camel(w) and w not in classes
+                  and not hasattr(builtins, w)]
         for span in re.findall(r"`+([^`]+)`+", text):
             stale += [(source, m) for m in DOTTED.findall(span)
                       if not _resolves(m)]

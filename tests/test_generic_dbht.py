@@ -1,10 +1,13 @@
-"""Generic (original-style) DBHT vs the TMFG path.
+"""PMFG-DBHT's from-scratch bubble detection vs the TMFG path.
 
-On TMFG inputs the from-scratch bubble detection and quadratic direction
-computation must reproduce the TMFG's incremental bubble tree and its
-Algorithm 3 directions exactly: both paths then run the one
-``repro.core.dbht.assign_vertices``, whose general chi and chi' formulas
-take bubbles of any size, so their assignments and hierarchies agree.
+On TMFG inputs the detected bubble tree must hold the TMFG's incremental
+bubbles, tree edges and separating triangles, only numbered and rooted
+differently. Both trees are then directed by the one
+``BubbleTree.compute_directions`` and assigned by the one
+``repro.core.dbht.assign_vertices``, so the groups, bubbles and hierarchy
+must agree too: this checks that none of those steps depends on how a
+tree is numbered or rooted. PMFG inputs, with bubbles of more than four
+vertices, are pinned end to end.
 """
 import hashlib
 
@@ -77,14 +80,19 @@ class TestBubbleDetection:
 
 
 class TestFullEquivalenceOnTMFG:
+    """DBHT on the bubble tree detected in a TMFG == DBHT on the tree the
+    TMFG built."""
+
     @pytest.mark.parametrize("n,seed,prefix", CASES)
     def test_same_assignments_and_hierarchy(self, n, seed, prefix):
-        """Generic DBHT on a TMFG == the TMFG-optimized path.
+        """Same groups, bubbles and hierarchy from the detected tree as
+        from the incremental one.
 
-        Bubble *numbering* differs between the two trees (and the height
-        assignment sorts by bubble id), so assignments are compared via
-        bubble vertex sets, and the hierarchy is compared after remapping
-        the generic bubble ids onto the fast tree's numbering.
+        Bubble *numbering* and the root differ between the two trees (and
+        the height assignment sorts by bubble id), so assignments are
+        compared via bubble vertex sets, and the hierarchy is compared after
+        remapping the detected tree's bubble ids onto the incremental
+        tree's numbering.
         """
         from repro.core.dbht import build_hierarchy
         from repro.core.dbht import Assignments as A
