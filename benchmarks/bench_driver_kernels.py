@@ -11,11 +11,11 @@ dendrogram, with the public functions SEQ-TDBHT calls:
   assignments) and ``hierarchy``.
 
 The inputs are Crop-lite (``crop``: ``load_ucr_lite(17)``, n=1294) and the
-scale input ``n4000``: ``latent_curve_dataset`` with Crop-lite's
-parameters, n=4000 and seed 17. Every repeat runs the whole chain; the
-first is an untimed warm-up. The process's peak RSS covers input generation
-and every repeat, with one chain's arrays alive at a time, so run one input
-per process:
+scale inputs ``n4000`` and ``n8000``: ``latent_curve_dataset`` with
+Crop-lite's parameters, n=4000 or n=8000 and seed 17. Every repeat runs
+the whole chain; the first is an untimed warm-up. The process's peak RSS
+covers input generation and every repeat, with one chain's arrays alive at
+a time, so run one input per process:
 
     PYTHONPATH=src python3 benchmarks/bench_driver_kernels.py --input crop
 
@@ -45,8 +45,9 @@ STEPS = ("correlation", "tmfg", "apsp", "assignment", "hierarchy")
 def load_input(name: str) -> np.ndarray:
     if name == "crop":
         return load_ucr_lite(17, seed=0).X
+    n = int(name[1:])
     _, _, length, classes, noise, shared, outliers = UCR_LITE[17]
-    return latent_curve_dataset("Crop-4000", 4000, length, classes,
+    return latent_curve_dataset(f"Crop-{n}", n, length, classes,
                                 noise=noise, shared=shared,
                                 outlier_frac=outliers, seed=17).X
 
@@ -85,7 +86,8 @@ def quartiles(xs):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--input", choices=("crop", "n4000"), default="crop")
+    ap.add_argument("--input", choices=("crop", "n4000", "n8000"),
+                    default="crop")
     ap.add_argument("--repeats", type=int, default=9,
                     help="timed passes after one untimed warm-up")
     args = ap.parse_args()

@@ -8,22 +8,31 @@ The bubble tree (Algorithm 2) is built during construction.
 
 GAINS lives on the driver, next to the topology, as per-face arrays
 indexed by face id: the corners ``tri``, the best remaining vertex
-``best_v``, its ``gain`` and an ``alive`` mask (fewer than 3n faces are
-ever created). Each round does only the work of Lines 9-16:
+``best_v``, its ``gain`` and the selection ``key`` (fewer than 3n faces
+are ever created). Each round does only the work of Lines 9-16:
 
-- re-scoring the new faces and the faces whose best vertex was just
-  inserted is one blocked numpy pass over the *scored columns*, a copy of
-  ``S`` restricted to the vertices not yet inserted (inserted columns are
-  masked by a row of ``-inf`` added to each scored block, and dropped once
-  fewer than half are live, so the copying totals O(n^2));
-- the selection partitions the live gains around the ``prefix``-th
+- a face whose best vertex is inserted goes *stale*: it leaves the
+  selection (``key`` is ``-inf``) and keeps its last gain as a bound.
+  Its gain for any vertex is a fixed float and only vertices leave, so
+  its next best gain cannot exceed that bound, and a stale face whose
+  bound is below the round's cut (the ``prefix``-th largest fresh gain)
+  cannot be selected. Each round re-scores the new faces plus only the
+  stale faces whose bound reaches the cut (every one when fewer than
+  ``prefix`` faces are fresh); at Crop-lite prefix 1 that is 13,328 face
+  rows instead of 33,290, with the same selections;
+- the re-scoring is one blocked numpy pass over the *scored columns*, a
+  copy of ``S`` restricted to the vertices not yet inserted (inserted
+  columns are masked by a row of ``-inf`` added to each scored block, and
+  dropped once fewer than half are live, so the copying totals O(n^2));
+- the selection partitions the fresh gains around the ``prefix``-th
   largest and orders only the ``prefix`` faces at or above that cut, so
   no round sorts every live face.
 
 Both pipelines build the TMFG here, on the driver: a Spark round costs
-about 0.3 s of job latency while a whole driver TMFG takes 0.13-0.20 s
-on Crop-lite (n=1294) at prefix 1 (EXPERIMENTS.md, TMFG placement and
-TMFG engine). All ties break toward smaller vertex/face ids.
+about 0.3 s of job latency while a whole driver TMFG takes about 0.11 s
+on Crop-lite (n=1294) at prefix 1 on a 4-core x86-64 box (EXPERIMENTS.md,
+TMFG placement, TMFG engine and Lazy re-scoring of stale faces). All ties
+break toward smaller vertex/face ids.
 """
 from __future__ import annotations
 
@@ -76,11 +85,13 @@ def _check_similarity(S: np.ndarray) -> np.ndarray:
     if not np.isfinite(S).all():
         raise ValueError("S must be finite")
     # np.allclose(S, S.T, atol=1e-8)'s test, one block of rows at a time,
-    # so no n x n temporary is built.
+    # so no n x n temporary is built. A block equal to its transpose passes
+    # it (the entries are finite), so only a block that differs is tested.
     step = max(1, _CHECK_BLOCK // n)
     for lo in range(0, n, step):
         a, b = S[lo:lo + step], S[:, lo:lo + step].T
-        if not (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all():
+        if not (np.array_equal(a, b)
+                or (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all()):
             raise ValueError("S must be symmetric")
     return S
 
@@ -153,15 +164,20 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
         tuple(sorted(p))
         for p in ((v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4), (v3, v4))
     ]
-    # GAINS: 4 seed faces plus 3 per insertion, 3n - 8 in all.
+    # GAINS: 4 seed faces plus 3 per insertion, 3n - 8 in all. ``gain``
+    # is each face's last scored gain; ``key`` is that gain while the face
+    # is fresh (alive, its best vertex still remaining) and -inf once it is
+    # dead or stale.
     tri = np.empty((3 * n, 3), dtype=np.int64)
     tri[:4] = [sorted((v1, v2, v3)), sorted((v1, v2, v4)),
                sorted((v1, v3, v4)), sorted((v2, v3, v4))]
     best_v = np.zeros(3 * n, dtype=np.int64)
     gain = np.zeros(3 * n)
-    alive = np.zeros(3 * n, dtype=bool)
-    alive[:4] = True
+    key = np.full(3 * n, -np.inf)
     n_faces = 4
+    # The fresh faces by best vertex, and the stale faces not re-scored yet.
+    faces_of: List[List[int]] = [[] for _ in range(n)]
+    stale = np.empty(0, dtype=np.int64)
     remaining = np.ones(n, dtype=bool)
     remaining[seed] = False
     # The scored columns: a copy, so the caller's S is never written.
@@ -172,12 +188,28 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
     tree = BubbleTree.initial(seed, [0, 1, 2, 3], outer_face=0)
     insertions: List[Tuple[int, Triangle]] = []
     rounds = 0
-    rescore = np.arange(4)  # Line 5: the initial GAINS
+    new = np.arange(4)  # Line 5: the initial GAINS
     # Lines 8-17: insert remaining vertices in batches of up to ``prefix``.
     while remaining.any():
-        best_v[rescore], gain[rescore] = _score(Sc, tri[rescore], cols, mask)
+        # A stale face's gain can only have fallen since it was scored, so
+        # it can enter the top ``prefix`` only if its old gain reaches the
+        # prefix-th largest fresh gain (ties included: the face id decides
+        # them). The cut leaves out the new faces, scored in the same pass:
+        # a lower cut only re-scores more. ``key`` is -inf at every face but
+        # the fresh ones (the unscored new faces included), so with fewer
+        # than ``prefix`` fresh faces the cut is -inf and every stale face
+        # is re-scored.
+        live = key[:n_faces]
+        kth = max(0, n_faces - prefix)
+        cut = live.max() if prefix == 1 else np.partition(live, kth)[kth]
+        hit = gain[stale] >= cut
+        rows, stale = np.concatenate((new, stale[hit])), stale[~hit]
+        b, g = _score(Sc, tri[rows], cols, mask)
+        best_v[rows], gain[rows], key[rows] = b, g, g
+        for fid, v in zip(rows.tolist(), b.tolist()):
+            faces_of[v].append(fid)
         rounds += 1
-        batch = select_batch(best_v, gain, alive, prefix)
+        batch = select_batch(best_v[:n_faces], live, live > -np.inf, prefix)
         inserted = [v for v, _ in batch]
         remaining[inserted] = False
         mask[np.searchsorted(cols, inserted)] = -np.inf
@@ -193,13 +225,12 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
             n_faces += 3
             tree.insert(v, fid, (vx, vy, vz), created)
             insertions.append((v, (vx, vy, vz)))
-        alive[[fid for _, fid in batch]] = False
-        # Every older live face was scored while its best vertex remained,
-        # so it is stale exactly when that vertex went in this round.
-        stale = np.flatnonzero(alive[:first_new]
-                               & ~remaining[best_v[:first_new]])
-        alive[first_new:n_faces] = True
-        rescore = np.concatenate((stale, np.arange(first_new, n_faces)))
+        # The faces whose best vertex went in: one is dead, the others go
+        # stale and keep their gain as the bound.
+        went = [f for v, fid in batch for f in faces_of[v] if f != fid]
+        key[[fid for _, fid in batch] + went] = -np.inf
+        stale = np.concatenate((stale, np.array(went, dtype=np.int64)))
+        new = np.arange(first_new, n_faces)
         if 2 * (n - 4 - len(insertions)) < len(cols):
             keep = np.flatnonzero(remaining[cols])
             cols, Sc, mask = cols[keep], Sc.take(keep, axis=1), mask[keep]

@@ -177,6 +177,67 @@ def gains_arrays(gains):
     return best_v, gain, alive
 
 
+def tmfg_eager(S, prefix):
+    """Algorithm 1 with no shortcut: every round scores every live face
+    against all of ``S`` (gain ``S[a] + S[b] + S[c]`` over the sorted
+    corners, best remaining vertex by first occurrence of the max) and
+    selects with ``select_batch_reference``. Returns the sorted edges,
+    the insertions and the round count."""
+    n = len(S)
+    seed = [int(v) for v in np.argsort(-S.sum(axis=1), kind="stable")[:4]]
+    v1, v2, v3, v4 = seed
+    faces = [tuple(sorted(f)) for f in ((v1, v2, v3), (v1, v2, v4),
+                                        (v1, v3, v4), (v2, v3, v4))]
+    alive = [True] * 4
+    edges = {tuple(sorted((a, b))) for i, a in enumerate(seed)
+             for b in seed[i + 1:]}
+    remaining = [v for v in range(n) if v not in seed]
+    insertions, rounds = [], 0
+    while remaining:
+        rem = np.array(remaining)
+        best_v = np.zeros(len(faces), dtype=np.int64)
+        gain = np.zeros(len(faces))
+        for fid, (a, b, c) in enumerate(faces):
+            if alive[fid]:
+                g = S[a, rem] + S[b, rem] + S[c, rem]
+                best_v[fid], gain[fid] = rem[g.argmax()], g.max()
+        rounds += 1
+        for v, fid in select_batch_reference(best_v, gain, np.array(alive),
+                                             prefix):
+            vx, vy, vz = faces[fid]
+            edges |= {(min(v, u), max(v, u)) for u in (vx, vy, vz)}
+            faces += [tuple(sorted((v, vx, vy))), tuple(sorted((v, vy, vz))),
+                      tuple(sorted((v, vx, vz)))]
+            alive[fid] = False
+            alive += [True] * 3
+            insertions.append((v, (vx, vy, vz)))
+            remaining.remove(v)
+    return sorted(edges), insertions, rounds
+
+
+@pytest.mark.parametrize("prefix", [1, 2, 3, 7, None], ids=str)
+@pytest.mark.parametrize("decimals", [None, 1], ids=["random", "ties"])
+def test_matches_eager_reference(prefix, decimals):
+    """``tmfg`` re-scores a stale face only when its old gain can still
+    reach the round's cut; every round of the eager reference re-scores
+    every live face. Edges, insertions and rounds must be equal, with
+    heavy gain ties when ``S`` is rounded (``prefix=None`` means n). Many
+    small inputs have rounds with fewer than ``prefix`` fresh faces, where
+    every stale face must be re-scored."""
+    cases = ([(9, s) for s in range(40)] + [(16, s) for s in range(10)]
+             + [(31, 0), (64, 0), (64, 1)])
+    for n, seed in cases:
+        S = rand_sim(n, 100 + seed)
+        if decimals is not None:
+            S = np.round(S, decimals)
+        p = n if prefix is None else prefix
+        t = tmfg(S, prefix=p)
+        edges, insertions, rounds = tmfg_eager(S, p)
+        assert t.edges.tolist() == [list(e) for e in edges], (n, seed)
+        assert t.insertions == insertions, (n, seed)
+        assert t.rounds == rounds, (n, seed)
+
+
 class TestSelectBatch:
     def test_top_prefix_only(self):
         gains = gains_arrays({0: (7, 1.0), 1: (8, 3.0), 2: (9, 2.0)})
