@@ -3,8 +3,11 @@ structure (Section V-D), and end-to-end clustering sanity."""
 import numpy as np
 import pytest
 
-from repro.core.dbht import assign_vertices, build_hierarchy, dbht, tmfg_apsp
+from repro.core.dbht import (Assignments, assign_vertices, build_hierarchy,
+                             dbht, tmfg_apsp)
+from repro.core.dendrogram import Dendrogram
 from repro.core.generic_dbht import dbht_on_planar_graph, planar_bubble_tree
+from repro.core.linkage import hac, pairwise_max_between
 from repro.core.metrics import ari
 from repro.core.pmfg import pmfg
 from repro.core.tmfg import tmfg
@@ -534,6 +537,108 @@ class TestHierarchy:
         assert np.array_equal(a.bubble, b.bubble)
         assert np.array_equal(build_hierarchy(a, dist).merges,
                               build_hierarchy(b, dist_t).merges)
+
+
+def per_subgroup_hierarchy(assign, dist):
+    """``build_hierarchy`` as one ``hac`` call per subgroup, group and the
+    inter-group level, each subgroup's block and each group's maxima read
+    with ``np.ix_``: the reference for the batched hierarchy."""
+    n = dist.shape[0]
+    rows = []
+
+    def link(items, D, ladder=None):
+        if len(items) == 1:
+            return items[0]
+        Z = hac(D, "complete")
+        if ladder is None:
+            heights = Z[:, 3]
+        else:
+            heights = np.empty(len(Z))
+            heights[np.argsort(Z[:, 2], kind="stable")] = [
+                next(ladder) for _ in range(len(Z))]
+        ids = list(items)
+        for (a, b), h in zip(Z[:, :2].astype(np.int64).tolist(), heights):
+            a, b = ids[a], ids[b]
+            ids.append(n + len(rows))
+            rows.append((min(a, b), max(a, b), h))
+        return ids[-1]
+
+    group_roots, group_members = [], []
+    for g in np.unique(assign.group):
+        g_members = np.flatnonzero(assign.group == g)
+        n_b = len(g_members)
+        ladder = iter([1.0 / (n_b - 1 - i) for i in range(n_b - 1)])
+        block = dist[np.ix_(g_members, g_members)]
+        bubble = assign.bubble[g_members]
+        sub_roots, sub_members = [], []
+        for q in np.unique(bubble):
+            members = np.flatnonzero(bubble == q)
+            sub_members.append(members)
+            sub_roots.append(link(g_members[members].tolist(),
+                                  block[np.ix_(members, members)], ladder))
+        group_roots.append(link(sub_roots,
+                                pairwise_max_between(block, sub_members),
+                                ladder))
+        group_members.append(g_members)
+    link(group_roots, pairwise_max_between(dist, group_members))
+    return Dendrogram(n_leaves=n,
+                      merges=np.array(rows, dtype=np.float64).reshape(-1, 3))
+
+
+class TestBatchedHierarchy:
+    @pytest.mark.parametrize("prefix", [1, 10, 50, 200])
+    @pytest.mark.parametrize("did", [6, 17], ids=["ecg5000", "crop"])
+    def test_tmfg_matches_per_subgroup(self, did, prefix):
+        """On ECG5000-lite and Crop-lite TMFGs the batched hierarchy is
+        the per-subgroup one, bit for bit, on ``dist`` and its transpose."""
+        ds = load_ucr_lite(did, seed=0)
+        S, D = correlation_matrices(ds.X)
+        t = tmfg(S, prefix=prefix)
+        dist = tmfg_dist(D, t)
+        a = assign_vertices(S, t.tree, t.edges, dist)
+        assert len(np.unique(a.group)) > 1
+        for d in (dist, np.ascontiguousarray(dist.T)):
+            assert np.array_equal(build_hierarchy(a, d).merges,
+                                  per_subgroup_hierarchy(a, d).merges)
+
+    @pytest.mark.parametrize("n,seed", [(40, 6), (45, 5)])
+    def test_pmfg_matches_per_subgroup(self, n, seed):
+        """PMFG bubble trees, whose subgroups reach 14 and 18 vertices, so
+        that sizes 1-4 share buckets and the large ones stand alone."""
+        S, tree, edges, dist = tree_case("pmfg", n, seed, None)
+        a = assign_vertices(S, tree, edges, dist)
+        sizes = np.unique(np.stack([a.group, a.bubble]), axis=1,
+                          return_counts=True)[1]
+        assert sizes.max() >= 13
+        assert np.array_equal(build_hierarchy(a, dist).merges,
+                              per_subgroup_hierarchy(a, dist).merges)
+
+    def test_pmfg_groups_match_per_subgroup(self):
+        """A PMFG of 4 latent-curve clusters: 4 groups, several subgroups
+        each."""
+        ds = latent_curve_dataset("clustered", 60, 100, 4, noise=1.5,
+                                  shared=0.2, outlier_frac=0.0, seed=2)
+        S, D = correlation_matrices(ds.X)
+        edges = pmfg(S)
+        tree = planar_bubble_tree(len(S), edges)
+        dist = shortest_paths.apsp(len(S), edges,
+                                   D[edges[:, 0], edges[:, 1]])
+        a = assign_vertices(S, tree, edges, dist)
+        assert len(np.unique(a.group)) == 4
+        assert np.array_equal(build_hierarchy(a, dist).merges,
+                              per_subgroup_hierarchy(a, dist).merges)
+
+    def test_singleton_groups_and_subgroups(self):
+        """Hand-made assignments: a one-vertex group, a group of one
+        subgroup, and subgroups of one vertex among larger ones."""
+        dist = rand_sim(12, 0)[1]
+        group = np.array([5, 5, 2, 5, 9, 2, 2, 5, 2, 2, 5, 2])
+        bubble = np.array([0, 3, 1, 3, 4, 1, 7, 0, 1, 8, 3, 7])
+        a = Assignments(group=group, bubble=bubble,
+                        converging=np.array([2, 5, 9]))
+        ref = per_subgroup_hierarchy(a, dist)
+        assert np.array_equal(build_hierarchy(a, dist).merges, ref.merges)
+        ref.validate()
 
 
 class TestEndToEnd:

@@ -1,10 +1,22 @@
-"""NN-chain HAC vs the O(m^3) greedy oracle, linkage invariants, and the
-set-max distance helper used by DBHT's upper levels."""
+"""NN-chain HAC vs the O(m^3) greedy oracle, linkage invariants, the
+batched complete-linkage kernel vs ``hac``, the cycling-chain guard, and
+the set-max distance helper used by DBHT's upper levels."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.dendrogram import from_linkage
-from repro.core.linkage import hac, pairwise_max_between
+from repro.core.linkage import (complete_linkage_batch, hac,
+                                 pairwise_max_between)
+from repro.core.tmfg import tmfg
+from repro.datasets import correlation_matrices, load_ucr_lite
+from repro.graphs import shortest_paths
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def random_dist(m, seed):
@@ -169,3 +181,144 @@ class TestPairwiseMax:
                 ref[i, j] = ref[j, i] = max(D[u, v] for u in groups[i]
                                             for v in groups[j])
         assert np.array_equal(M, ref)
+
+
+def unguarded_hac(D, max_steps):
+    """``hac(D, "complete")`` without the cycling-chain guard, stopped after
+    ``max_steps`` chain steps: ``(Z, revisited)``, where ``Z`` is None if it
+    had not finished and ``revisited`` says whether a slot already on the
+    chain was pushed again."""
+    m = D.shape[0]
+    W = D.astype(np.float64, copy=True)
+    np.fill_diagonal(W, np.inf)
+    size = np.ones(m)
+    cluster_id = np.arange(m, dtype=np.int64)
+    active = np.ones(m, dtype=bool)
+    Z = np.empty((m - 1, 4))
+    chain, n_merges, revisited = [], 0, False
+    for _ in range(max_steps):
+        if n_merges == m - 1:
+            return Z, revisited
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        a = chain[-1]
+        row = np.where(active, W[a], np.inf)
+        row[a] = np.inf
+        b = int(np.argmin(row))
+        if len(chain) >= 2 and row[chain[-2]] == row[b]:
+            b = chain[-2]
+        if len(chain) >= 2 and b == chain[-2]:
+            chain.pop()
+            chain.pop()
+            lo, hi = sorted((cluster_id[a], cluster_id[b]))
+            dist = W[a, b]
+            new_row = np.maximum(W[a], W[b])
+            keep, drop = min(a, b), max(a, b)
+            W[keep] = new_row
+            W[:, keep] = new_row
+            W[keep, keep] = np.inf
+            active[drop] = False
+            W[drop] = np.inf
+            W[:, drop] = np.inf
+            size[keep] = size[a] + size[b]
+            Z[n_merges] = (lo, hi, dist, size[keep])
+            cluster_id[keep] = m + n_merges
+            n_merges += 1
+        else:
+            revisited |= b in chain
+            chain.append(b)
+    return (Z if n_merges == m - 1 else None), revisited
+
+
+class TestCyclingChain:
+    def test_asymmetric_cycle_raises(self):
+        """On this asymmetric 5x5 ``D`` the chain cycles; both kernels
+        raise instead of looping. Run in a subprocess with a timeout, so a
+        kernel that loops fails the test rather than hanging it."""
+        code = (
+            "import numpy as np\n"
+            "from repro.core.linkage import complete_linkage_batch, hac\n"
+            "D = np.random.default_rng(2).random((5, 5))\n"
+            "ok = np.zeros((5, 5))\n"
+            "for f in (lambda: hac(D), lambda: hac(D, 'average'),\n"
+            "          lambda: complete_linkage_batch(np.stack([ok, D]))):\n"
+            "    try:\n"
+            "        f()\n"
+            "        print('returned')\n"
+            "    except ValueError as e:\n"
+            "        print('raised', 'cycles' in str(e))\n")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:3] == ["raised True"] * 3
+
+    def test_raises_only_when_the_chain_never_ends(self):
+        """Random asymmetric ``D`` (half rounded to one decimal): where the
+        unguarded NN-chain finishes, ``hac`` and the batched kernel return
+        its linkage, also when the chain pushed a slot it already held;
+        where it runs on, both raise."""
+        finished = revisits = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(3, 9))
+            D = rng.random((m, m))
+            if seed % 2:
+                D = np.round(D, 1)
+            ref, revisited = unguarded_hac(D, 20 * m * m)
+            if ref is None:
+                with pytest.raises(ValueError, match="cycles"):
+                    hac(D)
+                with pytest.raises(ValueError, match="cycles"):
+                    complete_linkage_batch(D[None])
+                continue
+            assert np.array_equal(hac(D), ref)
+            assert np.array_equal(complete_linkage_batch(D[None])[0], ref)
+            finished += 1
+            revisits += revisited
+        assert finished >= 100 and revisits >= 5
+
+
+def apsp_blocks(sizes, seed):
+    """For each size, a block of ECG5000-lite's TMFG shortest-path
+    distances over that many random vertices, in ascending id order as
+    DBHT reads them. ``apsp`` is not bit-symmetric, nor are the blocks."""
+    ds = load_ucr_lite(6, seed=0)
+    S, D = correlation_matrices(ds.X)
+    t = tmfg(S, prefix=1)
+    dist = shortest_paths.apsp(len(S), t.edges,
+                               D[t.edges[:, 0], t.edges[:, 1]])
+    rng = np.random.default_rng(seed)
+    picks = [np.sort(rng.choice(len(S), size=m, replace=False)) for m in sizes]
+    return [dist[np.ix_(v, v)] for v in picks]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("kind", ["random", "ties", "apsp"])
+    def test_matches_hac(self, kind):
+        """Stacks of 1 to 7 matrices of each size 1..15 (random symmetric,
+        rounded to one decimal so that merges tie, or ulp-asymmetric
+        ``apsp`` blocks) link to ``hac``'s linkages, bit for bit."""
+        rng = np.random.default_rng(["random", "ties", "apsp"].index(kind))
+        sizes = [m for m in range(1, 16) for _ in range(rng.integers(1, 8))]
+        if kind == "apsp":
+            mats = apsp_blocks(sizes, 3)
+            assert any(not np.array_equal(M, M.T) for M in mats)
+        else:
+            mats = [random_dist(m, int(rng.integers(1 << 30))) for m in sizes]
+            if kind == "ties":
+                mats = [np.round(M, 1) for M in mats]
+        for m in range(1, 16):
+            stack = np.stack([M for M in mats if len(M) == m])
+            Z = complete_linkage_batch(stack)
+            assert Z.shape == (len(stack), m - 1, 4)
+            for M, z in zip(stack, Z):
+                assert np.array_equal(z, hac(M, "complete"))
+
+    def test_empty_and_invalid(self):
+        assert complete_linkage_batch(np.zeros((0, 3, 3))).shape == (0, 2, 4)
+        assert complete_linkage_batch(np.zeros((2, 1, 1))).shape == (2, 0, 4)
+        with pytest.raises(ValueError):
+            complete_linkage_batch(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            complete_linkage_batch(np.zeros((2, 0, 0)))
