@@ -122,30 +122,30 @@ def _score(Sc: np.ndarray, faces: np.ndarray, cols: np.ndarray,
     return best, gain
 
 
-def select_batch(best_v: np.ndarray, gain: np.ndarray, alive: np.ndarray,
+def select_batch(best_v: np.ndarray, key: np.ndarray,
                  prefix: int) -> List[Tuple[int, int]]:
     """Round selection (Lines 9-10) over the GAINS arrays, indexed by face
-    id: pick the ``prefix`` live faces with the largest gains, then resolve
-    vertex conflicts by keeping each vertex's highest-gain face. Returns
+    id: pick the ``prefix`` live faces with the largest keys, then resolve
+    vertex conflicts by keeping each vertex's highest-key face. ``key`` is
+    a live face's gain and ``-inf`` at every face that is not live. Returns
     ``(vertex, face_id)`` pairs sorted by face id. Ties break toward
     smaller face ids everywhere.
 
     Live gains must be finite, as ``tmfg``'s are. Only the faces above the
-    ``prefix``-th largest live gain, and the smallest-id faces equal to
-    it, are ordered by ``(-gain, face id)``.
+    ``prefix``-th largest live key, and the smallest-id faces equal to it,
+    are ordered by ``(-key, face id)``.
     """
-    k = min(prefix, int(np.count_nonzero(alive)))
+    if prefix == 1 and key.size:
+        f = int(key.argmax())  # first occurrence -> smallest face id
+        return [] if key[f] == -np.inf else [(int(best_v[f]), f)]
+    k = min(prefix, int(np.count_nonzero(key > -np.inf)))
     if k == 0:
         return []
-    g = np.where(alive, gain, -np.inf)
-    if k == 1:
-        f = int(g.argmax())  # first occurrence -> smallest face id
-        return [(int(best_v[f]), f)]
-    cut = np.partition(g, len(g) - k)[len(g) - k]
-    above = np.flatnonzero(g > cut)
-    at_cut = np.flatnonzero(g == cut)[:k - len(above)]
+    cut = np.partition(key, len(key) - k)[len(key) - k]
+    above = np.flatnonzero(key > cut)
+    at_cut = np.flatnonzero(key == cut)[:k - len(above)]
     top = np.concatenate((above, at_cut))
-    top = top[np.lexsort((top, -g[top]))]
+    top = top[np.lexsort((top, -key[top]))]
     _, first = np.unique(best_v[top], return_index=True)
     keep = np.sort(top[first])
     return list(zip(best_v[keep].tolist(), keep.tolist()))
@@ -209,7 +209,7 @@ def tmfg(S: np.ndarray, prefix: int = 1) -> TMFGResult:
         for fid, v in zip(rows.tolist(), b.tolist()):
             faces_of[v].append(fid)
         rounds += 1
-        batch = select_batch(best_v[:n_faces], live, live > -np.inf, prefix)
+        batch = select_batch(best_v[:n_faces], live, prefix)
         inserted = [v for v, _ in batch]
         remaining[inserted] = False
         mask[np.searchsorted(cols, inserted)] = -np.inf

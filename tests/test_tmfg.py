@@ -166,15 +166,15 @@ def select_batch_reference(best_v, gain, alive, prefix):
 
 
 def gains_arrays(gains):
-    """GAINS arrays indexed by face id from ``{face_id: (vertex, gain)}``;
-    faces not listed are dead."""
+    """GAINS arrays ``(best_v, key)`` indexed by face id from
+    ``{face_id: (vertex, gain)}``; faces not listed are dead (key
+    ``-inf``)."""
     size = max(gains) + 1
     best_v = np.zeros(size, dtype=np.int64)
-    gain = np.zeros(size)
-    alive = np.zeros(size, dtype=bool)
+    key = np.full(size, -np.inf)
     for fid, (v, g) in gains.items():
-        best_v[fid], gain[fid], alive[fid] = v, g, True
-    return best_v, gain, alive
+        best_v[fid], key[fid] = v, g
+    return best_v, key
 
 
 def tmfg_eager(S, prefix):
@@ -263,8 +263,8 @@ class TestSelectBatch:
     @pytest.mark.parametrize("prefix", [1, 2, 7, 1000])
     def test_matches_sorted_reference(self, prefix):
         """Randomized against a full (-gain, face id) sort of the live
-        faces: heavy gain ties, vertex conflicts, dead faces that carry
-        the largest gain, and no live face at all."""
+        faces: heavy gain ties, vertex conflicts, dead faces (key -inf)
+        and no live face at all."""
         rng = np.random.default_rng(prefix)
         for case in range(300):
             size = int(rng.integers(1, 60))
@@ -272,8 +272,8 @@ class TestSelectBatch:
             gain = rng.choice(values, size)
             best_v = rng.integers(0, max(1, size // 3), size)
             alive = rng.random(size) < rng.choice([0.0, 0.3, 0.8, 1.0])
-            gain[~alive & (rng.random(size) < 0.5)] = values.max() + 1.0
-            assert (select_batch(best_v, gain, alive, prefix)
+            key = np.where(alive, gain, -np.inf)
+            assert (select_batch(best_v, key, prefix)
                     == select_batch_reference(best_v, gain, alive, prefix)), case
 
 
